@@ -229,7 +229,7 @@ pub struct KernelCounts {
     pub gather: usize,
     /// Combines running the planned row-by-row Gustavson kernel.
     pub gustavson: usize,
-    /// Combines running the dense packed-panel microkernel.
+    /// Combines running the register-tiled dense-panel microkernel.
     pub dense: usize,
 }
 

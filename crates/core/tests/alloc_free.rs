@@ -67,6 +67,17 @@ fn counted(f: impl FnOnce()) -> (u64, u64) {
     )
 }
 
+/// `n` fully dense `width × width` `f32` layers (every position stored).
+fn dense_chain(n: usize, width: usize, seed: u64) -> JacobianChain<f32> {
+    let mut rng = seeded_rng(seed);
+    let mut chain = JacobianChain::new(uniform_vector(&mut rng, width, 1.0));
+    for _ in 0..n {
+        let dense = Matrix::from_fn(width, width, |_, _| rng.random_range(-0.3f32..0.3));
+        chain.push(ScanElement::Sparse(Csr::from_dense_pattern(&dense)));
+    }
+    chain
+}
+
 fn sparse_chain(n: usize, width: usize, seed: u64) -> JacobianChain<f64> {
     let mut rng = seeded_rng(seed);
     let mut chain = JacobianChain::new(uniform_vector(&mut rng, width, 1.0));
@@ -327,6 +338,44 @@ fn steady_state_planned_backward_is_allocation_free() {
                 .max_abs_diff(&kernel_reference);
             assert!(diff < 1e-12, "kernel {kernel:?} diff {diff}");
         }
+    }
+
+    // --- Fully dense chain (the RNN shape): every product runs the dense
+    // kernel with full operands and output, which reads `b`'s values as its
+    // panel and stores rows straight into the output — so the plan carries
+    // no kernel scratch at all (its workspace is exactly the gather plan's,
+    // which needs none), and the steady state still allocates nothing.
+    let dense_chain = dense_chain(24, 20, 17);
+    let dense_reference = bppsa_core::bppsa_backward(&dense_chain, BppsaOptions::serial());
+    for opts in [BppsaOptions::serial(), BppsaOptions::pooled()] {
+        let plan = PlannedScan::plan(&dense_chain, opts);
+        let counts = plan.kernel_counts();
+        assert!(
+            counts.dense > 0 && counts.dense == counts.total(),
+            "a fully dense chain must run every product on the dense kernel: {counts:?}"
+        );
+        let gather = PlannedScan::plan(&dense_chain, opts.kernel(bppsa_core::KernelMode::Gather));
+        assert_eq!(
+            plan.workspace_bytes::<f32>(),
+            gather.workspace_bytes::<f32>(),
+            "full-pattern dense products must allocate no kernel scratch"
+        );
+        let mut ws = plan.workspace::<f32>();
+        let _ = plan.execute_with(&dense_chain, &mut ws);
+        let _ = plan.execute_with(&dense_chain, &mut ws);
+        let (allocs, deallocs) = counted(|| {
+            let _ = plan.execute_with(&dense_chain, &mut ws);
+        });
+        assert_eq!(
+            (allocs, deallocs),
+            (0, 0),
+            "steady-state fully dense chain ({:?}) must not touch the heap",
+            opts.executor
+        );
+        let diff = plan
+            .execute_with(&dense_chain, &mut ws)
+            .max_abs_diff(&dense_reference);
+        assert!(diff < 1e-3, "fully dense chain diff {diff}");
     }
 
     // --- Segment-parallel execution: per-segment drivers publish into the

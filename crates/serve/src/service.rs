@@ -988,6 +988,11 @@ impl<S> Lane<S> {
     /// the quarantine its wedged flush never earned.
     fn condemn_stalled(&self, now: Instant) {
         self.condemned.store(true, Ordering::Release);
+        // Publish the quarantine before any ticket resolves, as `flush`
+        // does: a client resubmitting on `FlushStalled` must be refused.
+        self.book.trip(&self.shape, self.cooldown, now);
+        self.metrics.record_stalled();
+        self.metrics.mark_quarantined();
         let mut inflight = lock(&self.inflight);
         if inflight.active {
             inflight.active = false;
@@ -996,9 +1001,6 @@ impl<S> Lane<S> {
             }
         }
         drop(inflight);
-        self.book.trip(&self.shape, self.cooldown, now);
-        self.metrics.record_stalled();
-        self.metrics.mark_quarantined();
         self.fail_queue(ServeError::LaneQuarantined);
     }
 }
@@ -1444,24 +1446,19 @@ fn flush<S: Scalar>(
         batched.execute(chains, &|i, result| tickets[i].stage_if(tokens[i], result));
     }));
     let failure = outcome.is_err().then_some(ServeError::BatchPanicked);
-    for ((chain, ticket), token) in chains
-        .drain(..)
-        .zip(tickets.drain(..))
-        .zip(tokens.drain(..))
-    {
-        // Token-guarded: no-ops on tickets a watchdog condemnation already
-        // failed while this flush sat stalled.
-        ticket.finish_if(token, Some(chain), failure);
-    }
-    if lane.condemned.load(Ordering::Acquire) {
+    // Publish the breaker's verdict before any ticket resolves: a client
+    // acting on its result — resubmitting the moment a probe succeeds, or
+    // backing off after a trip — must already see the state this outcome
+    // produced.
+    let condemned = lane.condemned.load(Ordering::Acquire);
+    let mut tripped = false;
+    if condemned {
         // The stall watchdog took this lane over while the flush above sat
         // wedged: its tickets are already failed, its queue drained, its
-        // shape quarantined. Exit without recording a success and — above
-        // all — without letting a probe lane's late success clear the
-        // quarantine its stall just earned.
-        return true;
-    }
-    if outcome.is_ok() {
+        // shape quarantined. Record no success and — above all — do not
+        // let a probe lane's late success clear the quarantine its stall
+        // just earned.
+    } else if outcome.is_ok() {
         lane.metrics.record_batch_success();
         if lane.probe {
             // Half-open probe proved the shape healthy: lift the
@@ -1471,16 +1468,27 @@ fn flush<S: Scalar>(
             // is created for it.
             lane.book.clear(&lane.shape);
         }
-        return false;
+    } else {
+        let streak = lane.metrics.record_batch_panic();
+        if lane.breaker_threshold.is_some_and(|t| streak >= t) {
+            lane.book.trip(&lane.shape, lane.cooldown, Instant::now());
+            lane.metrics.mark_quarantined();
+            tripped = true;
+        }
     }
-    let streak = lane.metrics.record_batch_panic();
-    if lane.breaker_threshold.is_some_and(|t| streak >= t) {
-        lane.book.trip(&lane.shape, lane.cooldown, Instant::now());
-        lane.metrics.mark_quarantined();
+    for ((chain, ticket), token) in chains
+        .drain(..)
+        .zip(tickets.drain(..))
+        .zip(tokens.drain(..))
+    {
+        // Token-guarded: no-ops on tickets a watchdog condemnation already
+        // failed while this flush sat stalled.
+        ticket.finish_if(token, Some(chain), failure);
+    }
+    if tripped {
         lane.fail_queue(ServeError::LaneQuarantined);
-        return true;
     }
-    false
+    condemned || tripped
 }
 
 /// Supervisor poll cadence when only the brownout controller is armed
@@ -2489,11 +2497,16 @@ mod tests {
             assert_eq!(snap.lane_id, k);
             assert!(snap.submitted >= 1);
         }
-        assert_eq!(
-            snaps[0].state,
-            LaneState::Retired,
-            "evicted lane drained and retired"
-        );
+        // Eviction only closes the lane; its dispatcher drains and retires
+        // it asynchronously, so wait (bounded) for the retirement to land.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while service.metrics()[0].state != LaneState::Retired {
+            assert!(
+                Instant::now() < deadline,
+                "evicted lane never drained and retired"
+            );
+            std::thread::yield_now();
+        }
     }
 
     #[test]

@@ -189,6 +189,55 @@ fn breaker_trips_after_streak_refuses_in_cooldown_and_probe_recovers() {
     assert!(dead.breaker_tripped);
 }
 
+/// The breaker publishes its verdict before the tickets that produced it
+/// resolve: the moment the tripping request's ticket resolves the shape is
+/// already quarantined, and the moment the half-open probe's ticket
+/// resolves the quarantine is already lifted — no polling, no sleep in
+/// between — so a client resubmitting right away is admitted.
+#[test]
+fn breaker_state_is_published_before_tickets_resolve() {
+    let cooldown = Duration::from_millis(60);
+    let mut config = breaker_config(1, cooldown);
+    config.faults = FaultInjector::scripted(FaultScript::new().batch_panic_times(0, 2));
+    let service = BppsaService::<f64>::new(config);
+    let template = sparse_chain(5, 6, 13);
+
+    for k in 0..2u64 {
+        let ticket = Ticket::new();
+        service
+            .submit(revalue(&template, 40 + k), &ticket)
+            .expect("lane accepts while the breaker counts");
+        assert_eq!(
+            must_terminate(&ticket, "panicking batch"),
+            Err(ServeError::BatchPanicked)
+        );
+        assert_eq!(
+            service.quarantined_shapes(),
+            k as usize,
+            "trip state published before panic ticket {k} resolved"
+        );
+    }
+    let tripped = Instant::now();
+
+    // Past the cool-down (this wait is the breaker's, not the check's).
+    std::thread::sleep(cooldown.saturating_sub(tripped.elapsed()) + Duration::from_millis(10));
+    let probe = Ticket::new();
+    service
+        .submit(revalue(&template, 50), &probe)
+        .expect("cool-down elapsed: the probe is admitted");
+    assert_eq!(must_terminate(&probe, "probe"), Ok(()));
+    assert_eq!(
+        service.quarantined_shapes(),
+        0,
+        "probe success lifts the quarantine before its ticket resolves"
+    );
+    let again = Ticket::new();
+    service
+        .submit(revalue(&template, 51), &again)
+        .expect("an immediate resubmission after the probe is admitted");
+    assert_eq!(must_terminate(&again, "resubmission"), Ok(()));
+}
+
 #[test]
 fn plan_panic_with_breaker_quarantines_shape_immediately() {
     let cooldown = Duration::from_millis(250);

@@ -14,13 +14,17 @@
 //!   over a pre-sized dense accumulator. No per-MAC table: the operands'
 //!   own CSR arrays drive the loops, and the known output pattern replaces
 //!   the symbolic sort/merge. The mid-density workhorse.
-//! * [`NumericKernel::Dense`] — a cache-blocked microkernel over a packed
-//!   row-major panel of the right operand: each output row is a sum of
-//!   contiguous SIMD `axpy`s ([`Scalar::slice_axpy`], AVX on `x86_64`),
-//!   tiled [`KERNEL_DENSE_ROW_BLOCK`] output rows ×
-//!   [`KERNEL_DENSE_K_BLOCK`] panel rows at a time so panel traffic comes
-//!   from cache instead of re-streaming DRAM per row. Worth the extra
-//!   (structural-zero) multiplies once the right operand is dense-ish.
+//! * [`NumericKernel::Dense`] — a register-tiled microkernel over a dense
+//!   panel of the right operand ([`Scalar::panel_rows`]; AVX-512, AVX or
+//!   scalar tier, picked once per product): a block of output rows keeps
+//!   its accumulators in SIMD registers, one column strip at a time, and
+//!   stores each row once. Worth the extra (structural-zero) multiplies
+//!   once the right operand is dense-ish. When the right operand's pattern
+//!   is full and at most [`PANEL_BLOCK`](bppsa_tensor::panel::PANEL_BLOCK)
+//!   columns wide, its own CSR values *are* the panel; when the output's
+//!   pattern is full, rows are stored straight into its values. Every
+//!   product of a dense RNN chain meets both, so it runs with no scratch at
+//!   all: no pack, no gather.
 //!
 //! Selection happens per product at plan time ([`KernelMode::Auto`]) from
 //! pattern-level statistics only — never values — so the choice is as
@@ -41,7 +45,7 @@ use bppsa_tensor::Scalar;
 /// Right-operand density at or above which [`KernelMode::Auto`] picks the
 /// dense panel microkernel. At density `d` the panel kernel performs `1/d`×
 /// the structural multiplies; `0.25` caps that overwork at 4×, which the
-/// contiguous autovectorized loops amortize.
+/// register-tiled SIMD loops amortize.
 pub const KERNEL_DENSE_MIN_DENSITY: f64 = 0.25;
 
 /// Minimum right-operand column count before the dense panel kernel is
@@ -55,29 +59,6 @@ pub const KERNEL_DENSE_MIN_COLS: usize = 8;
 /// perfectly; beyond that the 12-byte-per-MAC table is pure overhead next to
 /// Gustavson's table-free loops.
 pub const KERNEL_GATHER_MAX_MACS_PER_OUT: u64 = 2;
-
-/// Output rows the dense kernel processes per cache block (one accumulator
-/// row each, revisited once per k-block). Without row blocking every output
-/// row re-streams its panel rows from DRAM — at 8% density no two adjacent
-/// rows share panel rows, so reuse only emerges across ~`1/density` rows. A
-/// big block amortizes each k-block's panel slice over many consumers: 512
-/// rows drop per-call panel traffic to `⌈rows/512⌉` panel sweeps, and an
-/// empirical sweep (128/256/512 × 64/128/256 k-rows, interleaved against
-/// the gather kernel on the 1k × 1k 8%-density point) picked 512 over the
-/// smaller blocks by ~10% despite the accumulator block (4 MiB for 1k-wide
-/// `f64`) spilling past L2 — the stacked-axpy passes touch each accumulator
-/// row only a handful of times per k-block, so panel locality dominates.
-pub const KERNEL_DENSE_ROW_BLOCK: usize = 512;
-
-/// Panel rows per inner k-block of the dense kernel: the slice of the
-/// packed panel (`KERNEL_DENSE_K_BLOCK · cols` elements) that stays
-/// cache-resident while all rows of the current row block consume their
-/// `a`-entries falling in it. 128 rows of a 1k-wide `f64` panel is 1 MiB —
-/// the empirical sweet spot on the same sweep: 64-row blocks re-enter the
-/// per-row cursor loop too often (each visit re-touches the row's
-/// accumulator), 256-row blocks thrash the cache shared with the
-/// accumulator rows in flight.
-pub const KERNEL_DENSE_K_BLOCK: usize = 128;
 
 /// How a [`SymbolicProduct`](crate::SymbolicProduct) chooses its numeric
 /// kernel — the SpGEMM analogue of `bppsa-core`'s `DiagonalMode`.
@@ -95,7 +76,7 @@ pub enum KernelMode {
     Gather,
     /// Always run the planned row-by-row Gustavson kernel.
     Gustavson,
-    /// Always run the dense packed-panel microkernel.
+    /// Always run the dense-panel microkernel.
     Dense,
 }
 
@@ -107,7 +88,7 @@ pub enum NumericKernel {
     Gather,
     /// Planned Gustavson row-by-row kernel over a dense accumulator.
     Gustavson,
-    /// Register-blocked microkernel over a packed row-major panel.
+    /// Register-tiled microkernel over a dense row-major panel.
     Dense,
 }
 
@@ -146,68 +127,84 @@ impl KernelMode {
 }
 
 /// Reusable numeric scratch for one [`SymbolicProduct`](crate::SymbolicProduct):
-/// dense accumulator lanes (Gustavson and Dense kernels) plus the packed
-/// right-operand panel (Dense kernel only). Built once via
-/// [`SymbolicProduct::scratch`](crate::SymbolicProduct::scratch) and reused
-/// every execution, so the steady state stays allocation-free; the gather
-/// kernel needs no scratch and gets an empty one.
+/// dense accumulator lanes (Gustavson kernel) or the packed right-operand
+/// panel (Dense kernel, when the right operand's pattern is not full).
+/// Built once via [`SymbolicProduct::scratch`](crate::SymbolicProduct::scratch)
+/// and reused every execution, so the steady state stays allocation-free;
+/// the gather kernel, and the dense kernel over a full right operand, need
+/// none and get an empty one.
 ///
-/// One accumulator *lane* (a `cols`-wide row) is needed per concurrent row
-/// chunk: serial execution uses lane 0, the row-chunk-parallel path uses one
-/// lane per chunk. A scratch with fewer lanes than the pool would fan out to
-/// simply caps the chunk count — never unsoundness, just less parallelism.
+/// One Gustavson accumulator *lane* (a `cols`-wide row) is needed per
+/// concurrent row chunk: serial execution uses lane 0, the
+/// row-chunk-parallel path uses one lane per chunk. A scratch with fewer
+/// lanes than the pool would fan out to simply caps the chunk count — never
+/// unsoundness, just less parallelism. The dense kernel accumulates in
+/// registers and needs no lanes.
 #[derive(Debug, Clone)]
 pub struct KernelScratch<S> {
-    /// `lanes × acc_rows × acc_cols` dense accumulator rows. Gustavson
-    /// lanes (`acc_rows == 1`) are all-zero between executions (each row
-    /// gathers *and re-zeroes* its touched entries); Dense lanes hold one
-    /// [`KERNEL_DENSE_ROW_BLOCK`]-row cache block per lane, fully
-    /// overwritten block by block.
+    /// `lanes × acc_cols` Gustavson accumulator rows, all-zero between
+    /// executions (each row gathers *and re-zeroes* its touched entries).
     pub(crate) acc: Vec<S>,
-    pub(crate) acc_rows: usize,
     pub(crate) acc_cols: usize,
     pub(crate) lanes: usize,
-    /// `b.rows() × b.cols()` packed row-major right-operand panel (Dense
-    /// only). Structural positions are refreshed by every pack; positions
-    /// outside the pattern stay exactly `+0.0` forever.
-    pub(crate) panel: Vec<S>,
+    /// `b.rows() × b.cols()` packed right-operand panel, in the dense
+    /// kernel's column-blocked layout (Dense over a partial or wide right
+    /// operand only), starting at the first 64-byte boundary of `buf` so
+    /// the kernel's vector loads never split a cache line. Structural
+    /// positions are refreshed by every pack; positions outside the pattern
+    /// stay exactly `+0.0` forever.
+    buf: Vec<S>,
+    panel_at: usize,
+    panel_len: usize,
 }
 
 impl<S: Scalar> KernelScratch<S> {
     /// An empty scratch (what the gather kernel uses).
     pub(crate) fn empty() -> Self {
-        Self {
-            acc: Vec::new(),
-            acc_rows: 0,
-            acc_cols: 0,
-            lanes: 0,
-            panel: Vec::new(),
-        }
+        Self::with_dims(0, 0, 0)
     }
 
-    pub(crate) fn with_dims(
-        lanes: usize,
-        acc_rows: usize,
-        acc_cols: usize,
-        panel_len: usize,
-    ) -> Self {
+    pub(crate) fn with_dims(lanes: usize, acc_cols: usize, panel_len: usize) -> Self {
+        let buf = vec![S::ZERO; Self::panel_buf_len(panel_len)];
+        let pad = buf.len() - panel_len;
+        let panel_at = buf.as_ptr().align_offset(64).min(pad);
         Self {
-            acc: vec![S::ZERO; lanes * acc_rows * acc_cols],
-            acc_rows,
+            acc: vec![S::ZERO; lanes * acc_cols],
             acc_cols,
             lanes,
-            panel: vec![S::ZERO; panel_len],
+            buf,
+            panel_at,
+            panel_len,
         }
     }
 
-    /// Number of accumulator lanes (the row-parallel chunk-count cap).
+    /// Elements of the buffer holding a `panel_len`-element panel: room
+    /// to start it on a 64-byte boundary.
+    pub(crate) fn panel_buf_len(panel_len: usize) -> usize {
+        match panel_len {
+            0 => 0,
+            n => n + 64 / std::mem::size_of::<S>().max(1),
+        }
+    }
+
+    /// The packed panel (empty unless the dense kernel packs one).
+    pub(crate) fn panel(&self) -> &[S] {
+        &self.buf[self.panel_at..self.panel_at + self.panel_len]
+    }
+
+    pub(crate) fn panel_mut(&mut self) -> &mut [S] {
+        &mut self.buf[self.panel_at..self.panel_at + self.panel_len]
+    }
+
+    /// Number of Gustavson accumulator lanes (the row-parallel chunk-count
+    /// cap of that kernel).
     pub fn lanes(&self) -> usize {
         self.lanes
     }
 
     /// Total heap bytes this scratch holds.
     pub fn bytes(&self) -> usize {
-        (self.acc.len() + self.panel.len()) * std::mem::size_of::<S>()
+        (self.acc.len() + self.buf.len()) * std::mem::size_of::<S>()
     }
 }
 
@@ -276,9 +273,12 @@ mod tests {
 
     #[test]
     fn scratch_reports_lanes_and_bytes() {
-        let s = KernelScratch::<f64>::with_dims(3, 2, 16, 64);
+        let s = KernelScratch::<f64>::with_dims(3, 16, 64);
         assert_eq!(s.lanes(), 3);
-        assert_eq!(s.bytes(), (3 * 2 * 16 + 64) * 8);
+        // The panel buffer carries room to start on a 64-byte boundary.
+        assert_eq!(s.bytes(), (3 * 16 + 64 + 8) * 8);
+        assert_eq!(s.panel().len(), 64);
+        assert_eq!(s.panel().as_ptr() as usize % 64, 0);
         let e = KernelScratch::<f64>::empty();
         assert_eq!(e.lanes(), 0);
         assert_eq!(e.bytes(), 0);

@@ -10,8 +10,8 @@
 //! every iteration. [`SymbolicProduct`] implements exactly that split;
 //! [`spgemm`] is the generic baseline it is ablated against. The numeric
 //! phase itself is density-adaptive: plan time resolves a [`KernelMode`] to
-//! one of three [`NumericKernel`]s (gather program, planned Gustavson, dense
-//! packed-panel microkernel — see [`kernel`]).
+//! one of three [`NumericKernel`]s (gather program, planned Gustavson,
+//! register-tiled dense-panel microkernel — see [`kernel`]).
 //!
 //! ## Quick example
 //!

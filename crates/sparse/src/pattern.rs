@@ -147,6 +147,26 @@ impl SparsityPattern {
                 .all(|(i, &j)| j as usize == i)
             && self.indptr.iter().enumerate().all(|(i, &p)| p == i)
     }
+
+    /// Whether every position is structural, in order: row `i` holds
+    /// exactly the columns `0..cols` (the pattern
+    /// [`Csr::from_dense_pattern`](crate::Csr::from_dense_pattern)
+    /// produces). The guaranteed layout — `data()` is the row-major dense
+    /// matrix — is what lets the dense SpGEMM kernel read and write a
+    /// matrix's values in place.
+    pub(crate) fn is_full(&self) -> bool {
+        self.nnz() == self.rows * self.cols
+            && self
+                .indptr
+                .iter()
+                .enumerate()
+                .all(|(i, &p)| p == i * self.cols)
+            && self
+                .indices
+                .iter()
+                .enumerate()
+                .all(|(e, &j)| j as usize == e % self.cols.max(1))
+    }
 }
 
 impl fmt::Display for SparsityPattern {
@@ -185,6 +205,18 @@ mod tests {
         assert_eq!(empty.sparsity(), 1.0);
         let full = SparsityPattern::new(1, 2, vec![0, 2], vec![0, 1]);
         assert_eq!(full.sparsity(), 0.0);
+    }
+
+    #[test]
+    fn is_full_requires_every_column_in_order() {
+        assert!(SparsityPattern::new(2, 2, vec![0, 2, 4], vec![0, 1, 0, 1]).is_full());
+        // Right count, wrong layout: a duplicated column and a missing one.
+        assert!(!SparsityPattern::new(2, 2, vec![0, 2, 4], vec![0, 1, 1, 1]).is_full());
+        // An empty row.
+        assert!(!SparsityPattern::new(2, 2, vec![0, 2, 2], vec![0, 1]).is_full());
+        // Zero-width rows are vacuously full; zero rows too.
+        assert!(SparsityPattern::new(3, 0, vec![0, 0, 0, 0], vec![]).is_full());
+        assert!(SparsityPattern::new(0, 4, vec![0], vec![]).is_full());
     }
 
     #[test]

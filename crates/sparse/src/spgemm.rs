@@ -14,19 +14,20 @@
 //! The numeric phase runs one of three density-adaptive kernels (see
 //! [`crate::kernel`]), resolved at plan time by [`SymbolicProduct::plan_with_mode`]:
 //! the precomputed **gather** program (very sparse), a planned **Gustavson**
-//! row-by-row kernel (mid density), or a **dense** packed-panel microkernel
-//! (dense-ish right operands). [`SymbolicProduct::plan`] keeps the historical
-//! behavior and always compiles the gather program. Steady-state entry points:
+//! row-by-row kernel (mid density), or a register-tiled **dense**-panel
+//! microkernel (dense-ish right operands; no scratch at all when the right
+//! operand is full and at most [`PANEL_BLOCK`] columns wide).
+//! [`SymbolicProduct::plan`] keeps the historical behavior and always
+//! compiles the gather program. Steady-state entry points:
 //! [`SymbolicProduct::execute_into_with`] (serial, allocation-free given a
 //! prebuilt [`KernelScratch`]) and
 //! [`SymbolicProduct::execute_into_parallel_with`] (row-chunk parallel over a
 //! [`WorkerPool`], chunks balanced by per-row work).
 
-use crate::kernel::{
-    KernelMode, KernelScratch, NumericKernel, KERNEL_DENSE_K_BLOCK, KERNEL_DENSE_ROW_BLOCK,
-};
+use crate::kernel::{KernelMode, KernelScratch, NumericKernel};
 use crate::{Csr, SparsityPattern};
 use bppsa_scan::{SendPtr, WorkerPool};
+use bppsa_tensor::panel::{panel_index, PanelRows, RowSink, SimdTier, PANEL_BLOCK};
 use bppsa_tensor::Scalar;
 use std::sync::Arc;
 
@@ -139,6 +140,16 @@ pub struct SymbolicProduct {
     /// against it.
     work_ptr: Vec<usize>,
     flops: u64,
+    /// Dense kernel only: `a`'s pattern is full, so a block of output rows
+    /// can share each panel load.
+    a_full: bool,
+    /// Dense kernel only: `b`'s pattern is full and at most
+    /// [`PANEL_BLOCK`] columns wide, so `b`'s own values already are the
+    /// kernel's panel (no pack, no panel scratch).
+    b_is_panel: bool,
+    /// Dense kernel only: the output pattern is full, so rows are stored
+    /// straight into `out`'s values (no gather through the pattern).
+    out_full: bool,
 }
 
 impl SymbolicProduct {
@@ -246,9 +257,13 @@ impl SymbolicProduct {
             }
         };
 
+        let dense = matches!(kernel, NumericKernel::Dense);
         Self {
             a_pattern: Arc::clone(a),
             b_pattern: Arc::clone(b),
+            a_full: dense && a.is_full(),
+            b_is_panel: dense && b.is_full() && b.cols() <= PANEL_BLOCK,
+            out_full: dense && out_pattern.is_full(),
             out_pattern,
             kernel,
             gather,
@@ -299,45 +314,40 @@ impl SymbolicProduct {
 
     /// Builds the reusable numeric scratch this plan's kernel needs, with
     /// `lanes` accumulator lanes (one per concurrent row chunk; serial
-    /// callers pass 1). The gather kernel needs none and gets an empty
-    /// scratch. Building the scratch once and reusing it via
-    /// [`SymbolicProduct::execute_into_with`] keeps the steady state
-    /// allocation-free; the scratch must only be used with the plan that
-    /// built it.
+    /// callers pass 1) for the Gustavson kernel. The gather kernel needs
+    /// none and gets an empty scratch; the dense kernel needs only a packed
+    /// panel, and none when `b`'s pattern is full and at most
+    /// [`PANEL_BLOCK`] columns wide. Building the scratch once
+    /// and reusing it via [`SymbolicProduct::execute_into_with`] keeps the
+    /// steady state allocation-free; the scratch must only be used with the
+    /// plan that built it.
     pub fn scratch<S: Scalar>(&self, lanes: usize) -> KernelScratch<S> {
-        let lanes = lanes.max(1);
         match self.kernel {
             NumericKernel::Gather => KernelScratch::empty(),
             NumericKernel::Gustavson => {
-                KernelScratch::with_dims(lanes, 1, self.out_pattern.cols(), 0)
+                KernelScratch::with_dims(lanes.max(1), self.out_pattern.cols(), 0)
             }
-            NumericKernel::Dense => KernelScratch::with_dims(
-                lanes,
-                self.dense_block_rows(),
-                self.out_pattern.cols(),
-                self.b_pattern.rows() * self.b_pattern.cols(),
-            ),
+            NumericKernel::Dense => KernelScratch::with_dims(0, 0, self.panel_len()),
         }
     }
 
-    /// Accumulator rows per scratch lane for the dense kernel: one cache
-    /// block of [`KERNEL_DENSE_ROW_BLOCK`] output rows (fewer when the
-    /// product has fewer rows).
-    fn dense_block_rows(&self) -> usize {
-        KERNEL_DENSE_ROW_BLOCK.min(self.out_pattern.rows().max(1))
+    /// Elements of the dense kernel's packed panel: `b.rows() × b.cols()`,
+    /// or none when `b`'s own values serve as the panel.
+    fn panel_len(&self) -> usize {
+        if self.b_is_panel {
+            0
+        } else {
+            self.b_pattern.rows() * self.b_pattern.cols()
+        }
     }
 
     /// Heap bytes [`SymbolicProduct::scratch`] would allocate for `lanes`
     /// accumulator lanes (workspace-accounting hook).
     pub fn scratch_bytes<S: Scalar>(&self, lanes: usize) -> usize {
-        let lanes = lanes.max(1);
         let elems = match self.kernel {
             NumericKernel::Gather => 0,
-            NumericKernel::Gustavson => lanes * self.out_pattern.cols(),
-            NumericKernel::Dense => {
-                lanes * self.dense_block_rows() * self.out_pattern.cols()
-                    + self.b_pattern.rows() * self.b_pattern.cols()
-            }
+            NumericKernel::Gustavson => lanes.max(1) * self.out_pattern.cols(),
+            NumericKernel::Dense => KernelScratch::<S>::panel_buf_len(self.panel_len()),
         };
         elems * std::mem::size_of::<S>()
     }
@@ -426,7 +436,8 @@ impl SymbolicProduct {
     /// # Panics
     ///
     /// Panics if the scratch does not match this plan's kernel dimensions,
-    /// and in debug builds if the operand patterns do not match.
+    /// if the dense kernel's left operand does not carry the planned
+    /// pattern, and in debug builds if the operand patterns do not match.
     pub fn execute_into_with<S: Scalar>(
         &self,
         a: &Csr<S>,
@@ -436,7 +447,7 @@ impl SymbolicProduct {
     ) {
         debug_assert!(self.operands_match(a, b));
         self.check_scratch(scratch);
-        out.reset_to_pattern(&self.out_pattern);
+        self.bind_out(out);
         let rows = self.out_pattern.rows();
         match self.kernel {
             NumericKernel::Gather => {
@@ -449,29 +460,15 @@ impl SymbolicProduct {
                 // borrowed; no concurrency.
                 unsafe { self.gustavson_rows(a, b, out_ptr, &mut scratch.acc[..cols], 0..rows) };
             }
-            NumericKernel::Dense => {
-                let lane = scratch.acc_rows * self.out_pattern.cols();
-                self.pack_panel(b, &mut scratch.panel);
-                let out_ptr = SendPtr(out.data_mut().as_mut_ptr());
-                // SAFETY: as above; the panel is only read after packing.
-                unsafe {
-                    self.dense_rows(
-                        a,
-                        &scratch.panel,
-                        out_ptr,
-                        &mut scratch.acc[..lane],
-                        0..rows,
-                    )
-                };
-            }
+            NumericKernel::Dense => self.dense_into(SimdTier::detect(), a, b, out, scratch, None),
         }
     }
 
     /// Row-chunk-parallel numeric phase into a caller-owned buffer: output
     /// rows are split into `pool.size() + 1` chunks of approximately equal
     /// planned work (via the per-row prefix work table) and executed on the
-    /// shared worker pool; each chunk accumulates through its own scratch
-    /// lane, so the chunk count is additionally capped by
+    /// shared worker pool. Each Gustavson chunk accumulates through its own
+    /// scratch lane, so that kernel's chunk count is additionally capped by
     /// [`KernelScratch::lanes`]. Allocation-free in the steady state, like
     /// [`SymbolicProduct::execute_into_with`].
     ///
@@ -480,8 +477,7 @@ impl SymbolicProduct {
     ///
     /// # Panics
     ///
-    /// Panics if the scratch does not match this plan's kernel dimensions,
-    /// and in debug builds if the operand patterns do not match.
+    /// As [`SymbolicProduct::execute_into_with`].
     pub fn execute_into_parallel_with<S: Scalar>(
         &self,
         a: &Csr<S>,
@@ -492,63 +488,14 @@ impl SymbolicProduct {
     ) {
         debug_assert!(self.operands_match(a, b));
         self.check_scratch(scratch);
-        out.reset_to_pattern(&self.out_pattern);
-        let rows = self.out_pattern.rows();
-        if matches!(self.kernel, NumericKernel::Gather) {
-            self.parallel_gather(a, b, out, pool);
-            return;
-        }
-        let cols = self.out_pattern.cols();
-        if matches!(self.kernel, NumericKernel::Dense) {
-            self.pack_panel(b, &mut scratch.panel);
-        }
-        let chunks = (pool.size() + 1).min(rows.max(1)).min(scratch.lanes);
-        let lane = scratch.acc_rows * cols;
-        if chunks <= 1 {
-            let out_ptr = SendPtr(out.data_mut().as_mut_ptr());
-            // SAFETY: exclusive borrows, no concurrency.
-            unsafe {
-                match self.kernel {
-                    NumericKernel::Gustavson => {
-                        self.gustavson_rows(a, b, out_ptr, &mut scratch.acc[..lane], 0..rows)
-                    }
-                    NumericKernel::Dense => self.dense_rows(
-                        a,
-                        &scratch.panel,
-                        out_ptr,
-                        &mut scratch.acc[..lane],
-                        0..rows,
-                    ),
-                    NumericKernel::Gather => unreachable!(),
-                }
+        self.bind_out(out);
+        match self.kernel {
+            NumericKernel::Gather => self.parallel_gather(a, b, out, pool),
+            NumericKernel::Gustavson => self.parallel_gustavson(a, b, out, pool, scratch),
+            NumericKernel::Dense => {
+                self.dense_into(SimdTier::detect(), a, b, out, scratch, Some(pool))
             }
-            return;
         }
-        let total = self.work_total();
-        let out_ptr = SendPtr(out.data_mut().as_mut_ptr());
-        let acc_ptr = SendPtr(scratch.acc.as_mut_ptr());
-        let panel: &[S] = &scratch.panel;
-        pool.run_indexed(chunks, &|c| {
-            let out_ptr: SendPtr<S> = out_ptr;
-            let acc_ptr: SendPtr<S> = acc_ptr;
-            let r0 = self.chunk_boundary_row(c, chunks, total, rows);
-            let r1 = self.chunk_boundary_row(c + 1, chunks, total, rows);
-            // SAFETY: `chunks <= scratch.lanes`, so lane `c` is an
-            // `acc_rows × cols` accumulator block no other task touches;
-            // chunk row ranges partition `0..rows`, and each row's output
-            // segment is disjoint from every other row's — no two pool
-            // tasks write the same element; the panel is read-only during
-            // the fan-out; the pool's barrier orders all writes before
-            // `run_indexed` returns.
-            let acc = unsafe { std::slice::from_raw_parts_mut(acc_ptr.0.add(c * lane), lane) };
-            unsafe {
-                match self.kernel {
-                    NumericKernel::Gustavson => self.gustavson_rows(a, b, out_ptr, acc, r0..r1),
-                    NumericKernel::Dense => self.dense_rows(a, panel, out_ptr, acc, r0..r1),
-                    NumericKernel::Gather => unreachable!(),
-                }
-            }
-        });
     }
 
     /// Row-chunk-parallel numeric phase without a caller-held scratch: the
@@ -616,6 +563,55 @@ impl SymbolicProduct {
         });
     }
 
+    /// The Gustavson kernel's row-chunk fan-out (`out` already rebound to
+    /// the plan's pattern), one scratch lane per chunk.
+    fn parallel_gustavson<S: Scalar>(
+        &self,
+        a: &Csr<S>,
+        b: &Csr<S>,
+        out: &mut Csr<S>,
+        pool: &WorkerPool,
+        scratch: &mut KernelScratch<S>,
+    ) {
+        let rows = self.out_pattern.rows();
+        let cols = self.out_pattern.cols();
+        let chunks = (pool.size() + 1).min(rows.max(1)).min(scratch.lanes);
+        let out_ptr = SendPtr(out.data_mut().as_mut_ptr());
+        if chunks <= 1 {
+            // SAFETY: exclusive borrows, no concurrency.
+            unsafe { self.gustavson_rows(a, b, out_ptr, &mut scratch.acc[..cols], 0..rows) };
+            return;
+        }
+        let total = self.work_total();
+        let acc_ptr = SendPtr(scratch.acc.as_mut_ptr());
+        pool.run_indexed(chunks, &|c| {
+            let out_ptr: SendPtr<S> = out_ptr;
+            let acc_ptr: SendPtr<S> = acc_ptr;
+            let r0 = self.chunk_boundary_row(c, chunks, total, rows);
+            let r1 = self.chunk_boundary_row(c + 1, chunks, total, rows);
+            // SAFETY: `chunks <= scratch.lanes`, so lane `c` is a
+            // `cols`-wide accumulator no other task touches; chunk row
+            // ranges partition `0..rows`, and each row's output segment is
+            // disjoint from every other row's — no two pool tasks write the
+            // same element; the pool's barrier orders all writes before
+            // `run_indexed` returns.
+            let acc = unsafe { std::slice::from_raw_parts_mut(acc_ptr.0.add(c * cols), cols) };
+            unsafe { self.gustavson_rows(a, b, out_ptr, acc, r0..r1) };
+        });
+    }
+
+    /// Rebinds `out` to the plan's output pattern. The gather kernel adds
+    /// into `out`, so it needs zeroed values; the other kernels overwrite
+    /// every stored value, so they rebind (and zero-fill) only when `out`
+    /// carries a different pattern handle — in the steady state, never.
+    fn bind_out<S: Scalar>(&self, out: &mut Csr<S>) {
+        if matches!(self.kernel, NumericKernel::Gather)
+            || !Arc::ptr_eq(out.pattern_ref(), &self.out_pattern)
+        {
+            out.reset_to_pattern(&self.out_pattern);
+        }
+    }
+
     /// Total planned per-row work (the last prefix entry) — what
     /// [`SymbolicProduct::chunk_boundary_row`] balances against.
     fn work_total(&self) -> usize {
@@ -624,30 +620,18 @@ impl SymbolicProduct {
 
     /// Validates a caller-held scratch against this plan's kernel.
     fn check_scratch<S: Scalar>(&self, scratch: &KernelScratch<S>) {
-        match self.kernel {
-            NumericKernel::Gather => {}
-            NumericKernel::Gustavson | NumericKernel::Dense => {
-                let want_rows = match self.kernel {
-                    NumericKernel::Dense => self.dense_block_rows(),
-                    _ => 1,
-                };
-                assert!(
-                    scratch.lanes >= 1
-                        && scratch.acc_rows == want_rows
-                        && scratch.acc_cols == self.out_pattern.cols(),
-                    "SymbolicProduct: scratch does not match this plan \
-                     (build it with SymbolicProduct::scratch)"
-                );
-                if matches!(self.kernel, NumericKernel::Dense) {
-                    assert_eq!(
-                        scratch.panel.len(),
-                        self.b_pattern.rows() * self.b_pattern.cols(),
-                        "SymbolicProduct: scratch panel does not match this plan \
-                         (build it with SymbolicProduct::scratch)"
-                    );
-                }
+        let fits = match self.kernel {
+            NumericKernel::Gather => true,
+            NumericKernel::Gustavson => {
+                scratch.lanes >= 1 && scratch.acc_cols == self.out_pattern.cols()
             }
-        }
+            NumericKernel::Dense => scratch.panel().len() == self.panel_len(),
+        };
+        assert!(
+            fits,
+            "SymbolicProduct: scratch does not match this plan \
+             (build it with SymbolicProduct::scratch)"
+        );
     }
 
     /// First row of chunk `c` when `0..rows` is split into `chunks` pieces
@@ -743,153 +727,118 @@ impl SymbolicProduct {
         }
     }
 
-    /// The dense panel microkernel over a row range: each output row is
-    /// `Σ_k a[i,k] · panel[k, ·]` — one contiguous SIMD `axpy`
-    /// ([`Scalar::slice_axpy`]) per stored entry of `a`'s row — then the
-    /// known output columns are gathered out of the accumulator.
-    ///
-    /// The loop nest is cache-blocked: [`KERNEL_DENSE_ROW_BLOCK`] output
-    /// rows at a time (one accumulator row each, resident across the whole
-    /// sweep), consuming the panel [`KERNEL_DENSE_K_BLOCK`] rows at a time
-    /// so each panel k-block is read from memory once per row block and
-    /// served from cache to every accumulator row that needs it. Without
-    /// the blocking, each output row re-streams its panel rows from DRAM
-    /// and the kernel is bandwidth-bound at any interesting size. Per-row
-    /// entry order is unchanged — `a`'s column indices are sorted, so
-    /// walking them k-block by k-block visits them in exactly the original
-    /// ascending-`k` order.
+    /// The dense-panel kernel: every output row is `Σ_k a[i,k] · b[k, ·]`
+    /// over `a`'s stored entries in ascending `k`, computed by the
+    /// register-tiled microkernel ([`Scalar::panel_rows`]) on `tier` — one
+    /// dispatch per product, or per row chunk when `pool` fans the rows out.
+    /// The panel is `b`'s own values when `b`'s pattern is full, otherwise
+    /// `b` packed into the scratch panel; a full output pattern takes the
+    /// rows straight into `out`'s values, otherwise each row's structural
+    /// columns are picked out of its registers.
     ///
     /// Bit-for-bit with [`spgemm`] for **finite** operands: the structural
-    /// terms of each output element arrive in the identical order; the extra
-    /// structural-zero terms contribute exact `±0.0`s, which round-to-
-    /// nearest addition absorbs without perturbing the sum, and the leading
-    /// `S::ZERO +` ([`Scalar::slice_scale_canonical`] on the row's first
-    /// entry) canonicalizes any `-0.0` first product to `+0.0` exactly as
-    /// the generic path does. (Non-finite operands can differ: a structural
-    /// zero times `inf` is `NaN` here but absent there.)
+    /// terms of each output element arrive in the identical order; the
+    /// extra structural-zero terms contribute exact `±0.0`s, which
+    /// round-to-nearest addition absorbs without perturbing the sum; and
+    /// the accumulators start at `+0.0`, so the first term is `0 + av·bv`
+    /// as on the generic path, which canonicalizes a `-0.0` first product
+    /// to `+0.0`. (Non-finite operands can differ: a structural zero times
+    /// `inf` is `NaN` here but absent there.)
     ///
-    /// # Safety
+    /// # Panics
     ///
-    /// As [`SymbolicProduct::gustavson_rows`], except `acc` is a full
-    /// `dense_block_rows() × cols` lane block which need not be zeroed
-    /// (every non-empty row fully overwrites its accumulator row before
-    /// reading it) and is left dirty.
-    unsafe fn dense_rows<S: Scalar>(
+    /// Panics if `a` does not carry the planned pattern: the microkernel
+    /// reads `a` and the panel without bounds checks, relying on the plan
+    /// having validated every column of that pattern against `b`'s rows.
+    fn dense_into<S: Scalar>(
         &self,
+        tier: SimdTier,
         a: &Csr<S>,
-        panel: &[S],
-        out: SendPtr<S>,
-        acc: &mut [S],
-        rows: std::ops::Range<usize>,
+        b: &Csr<S>,
+        out: &mut Csr<S>,
+        scratch: &mut KernelScratch<S>,
+        pool: Option<&WorkerPool>,
     ) {
+        assert!(
+            pattern_eq(a.pattern_ref(), &self.a_pattern) && a.data().len() == a.nnz(),
+            "SymbolicProduct: dense kernel operand does not match the plan"
+        );
         let cols = self.out_pattern.cols();
-        let block = self.dense_block_rows();
-        debug_assert!(acc.len() >= block * cols);
-        let indptr = a.indptr();
-        let aidx = a.indices();
-        let adata = a.data();
-        let k_rows = self.b_pattern.rows();
-        let mut i0 = rows.start;
-        while i0 < rows.end {
-            let i1 = (i0 + block).min(rows.end);
-            // Per-row cursor into `a`'s entry arrays (stack-allocated: the
-            // steady state performs no heap allocation).
-            let mut cur = [0usize; KERNEL_DENSE_ROW_BLOCK];
-            for (j, c) in cur[..i1 - i0].iter_mut().enumerate() {
-                *c = indptr[i0 + j];
+        let panel: &[S] = if self.b_is_panel {
+            b.data()
+        } else {
+            self.pack_panel(b, scratch.panel_mut());
+            scratch.panel()
+        };
+        assert_eq!(panel.len(), self.b_pattern.rows() * cols);
+        assert_eq!(out.data().len(), self.out_pattern.nnz());
+        let job = PanelRows {
+            indptr: a.indptr(),
+            indices: a.indices(),
+            data: a.data(),
+            panel,
+            cols,
+            dense_a: self.a_full,
+        };
+        let rows = self.out_pattern.rows();
+        let out_ptr = SendPtr(out.data_mut().as_mut_ptr());
+        let chunks = pool.map_or(1, |p| (p.size() + 1).min(rows));
+        match pool {
+            Some(pool) if chunks > 1 => {
+                let total = self.work_total();
+                pool.run_indexed(chunks, &|c| {
+                    let out_ptr: SendPtr<S> = out_ptr;
+                    let r0 = self.chunk_boundary_row(c, chunks, total, rows);
+                    let r1 = self.chunk_boundary_row(c + 1, chunks, total, rows);
+                    // SAFETY: chunk row ranges partition `0..rows`, so the
+                    // chunks' output segments are disjoint; the job's
+                    // operands were checked above; the pool's barrier
+                    // orders all writes before `run_indexed` returns.
+                    unsafe { S::panel_rows(tier, &job, r0..r1, self.dense_sink(out_ptr, r0..r1)) };
+                });
             }
-            // Sweep the panel one k-block at a time: every row of this row
-            // block consumes its entries falling inside the k-block while
-            // the block's panel rows are cache-hot.
-            let mut k0 = 0usize;
-            while k0 < k_rows {
-                let k1 = (k0 + KERNEL_DENSE_K_BLOCK).min(k_rows) as u32;
-                for (j, c) in cur[..i1 - i0].iter_mut().enumerate() {
-                    let i = i0 + j;
-                    let row_start = indptr[i];
-                    let row_end = indptr[i + 1];
-                    let acc_row = &mut acc[j * cols..j * cols + cols];
-                    if *c == row_start && *c < row_end && aidx[*c] < k1 {
-                        // First stored entry initializes the accumulator
-                        // row (with the same `0 + av·bv` canonicalization
-                        // as the generic path)…
-                        let kc = aidx[*c] as usize * cols;
-                        S::slice_scale_canonical(acc_row, adata[*c], &panel[kc..kc + cols]);
-                        *c += 1;
-                    }
-                    // …the rest accumulate, four panel rows per pass where
-                    // possible: `slice_axpy4` keeps the exact stacked-axpy
-                    // association while quartering accumulator load/store
-                    // traffic (the port-bound resource of the axpy loop).
-                    // Sorted column indices make `aidx[*c + 3] < k1` imply
-                    // the whole quad lies in this k-block; stragglers fall
-                    // through to the pair and single tails.
-                    while *c + 3 < row_end && aidx[*c + 3] < k1 {
-                        let kc1 = aidx[*c] as usize * cols;
-                        let kc2 = aidx[*c + 1] as usize * cols;
-                        let kc3 = aidx[*c + 2] as usize * cols;
-                        let kc4 = aidx[*c + 3] as usize * cols;
-                        S::slice_axpy4(
-                            acc_row,
-                            adata[*c],
-                            &panel[kc1..kc1 + cols],
-                            adata[*c + 1],
-                            &panel[kc2..kc2 + cols],
-                            adata[*c + 2],
-                            &panel[kc3..kc3 + cols],
-                            adata[*c + 3],
-                            &panel[kc4..kc4 + cols],
-                        );
-                        *c += 4;
-                    }
-                    while *c + 1 < row_end && aidx[*c + 1] < k1 {
-                        let kc1 = aidx[*c] as usize * cols;
-                        let kc2 = aidx[*c + 1] as usize * cols;
-                        S::slice_axpy2(
-                            acc_row,
-                            adata[*c],
-                            &panel[kc1..kc1 + cols],
-                            adata[*c + 1],
-                            &panel[kc2..kc2 + cols],
-                        );
-                        *c += 2;
-                    }
-                    if *c < row_end && aidx[*c] < k1 {
-                        let kc = aidx[*c] as usize * cols;
-                        S::slice_axpy(acc_row, adata[*c], &panel[kc..kc + cols]);
-                        *c += 1;
-                    }
-                }
-                k0 = k1 as usize;
-            }
-            for (j, i) in (i0..i1).enumerate() {
-                if indptr[i] == indptr[i + 1] {
-                    // No structural products ⇒ the output row is empty too
-                    // (and its accumulator row was never initialized).
-                    continue;
-                }
-                let acc_row = &acc[j * cols..j * cols + cols];
-                let out_base = self.out_pattern.indptr()[i];
-                for (slot, &jj) in self.out_pattern.row_indices(i).iter().enumerate() {
-                    // SAFETY: disjoint output segments per row, as in
-                    // `gustavson_rows`.
-                    unsafe { *out.0.add(out_base + slot) = acc_row[jj as usize] };
-                }
-            }
-            i0 = i1;
+            // SAFETY: as above, with one chunk covering every row.
+            _ => unsafe { S::panel_rows(tier, &job, 0..rows, self.dense_sink(out_ptr, 0..rows)) },
         }
     }
 
-    /// Scatters `b`'s values into the packed row-major panel. Positions
-    /// outside `b`'s pattern were zeroed at scratch construction and are
-    /// never written again (the pattern is fixed), so a pack refreshes
-    /// exactly the structural entries.
+    /// The output of rows `rows` as a [`RowSink`]: `out`'s values in place
+    /// when the output pattern is full, the pattern's listed columns
+    /// otherwise.
+    ///
+    /// # Safety
+    ///
+    /// `out` must point to the values of a matrix bound to the plan's
+    /// output pattern, and no other live sink may cover any of `rows`.
+    unsafe fn dense_sink<S: Scalar>(
+        &self,
+        out: SendPtr<S>,
+        rows: std::ops::Range<usize>,
+    ) -> RowSink<'_, S> {
+        let indptr = self.out_pattern.indptr();
+        let (lo, hi) = (indptr[rows.start], indptr[rows.end]);
+        let data = std::slice::from_raw_parts_mut(out.0.add(lo), hi - lo);
+        if self.out_full {
+            RowSink::Dense(data)
+        } else {
+            RowSink::Listed {
+                indptr,
+                indices: self.out_pattern.indices(),
+                data,
+            }
+        }
+    }
+
+    /// Scatters `b`'s values into the packed panel, in the kernel's
+    /// column-blocked layout ([`panel_index`]). Positions outside `b`'s
+    /// pattern were zeroed at scratch construction and are never written
+    /// again (the pattern is fixed), so a pack refreshes exactly the
+    /// structural entries.
     fn pack_panel<S: Scalar>(&self, b: &Csr<S>, panel: &mut [S]) {
-        let cols = self.b_pattern.cols();
-        for k in 0..self.b_pattern.rows() {
-            let row = &mut panel[k * cols..(k + 1) * cols];
+        let (rows, cols) = self.b_pattern.shape();
+        for k in 0..rows {
             for (&j, &bv) in b.row_indices(k).iter().zip(b.row_data(k)) {
-                row[j as usize] = bv;
+                panel[panel_index(rows, cols, k, j as usize)] = bv;
             }
         }
     }
@@ -1310,6 +1259,202 @@ mod tests {
             1,
             "dense pricing charges row 0 its full a_row_nnz × cols panel"
         );
+    }
+
+    /// Pattern shapes for the dense-kernel sweeps: which operands are full
+    /// and whether `a` has empty rows (which empty the output's rows too).
+    #[derive(Clone, Copy, Debug)]
+    struct Shapes {
+        a_full: bool,
+        a_empty_rows: bool,
+        b_full: bool,
+    }
+
+    const SHAPES: [Shapes; 5] = [
+        // Full a, b and output: shared panel loads, b's values in place (up
+        // to 64 columns), rows stored straight into the output.
+        Shapes {
+            a_full: true,
+            a_empty_rows: false,
+            b_full: true,
+        },
+        Shapes {
+            a_full: true,
+            a_empty_rows: false,
+            b_full: false,
+        },
+        Shapes {
+            a_full: false,
+            a_empty_rows: false,
+            b_full: true,
+        },
+        Shapes {
+            a_full: false,
+            a_empty_rows: true,
+            b_full: true,
+        },
+        Shapes {
+            a_full: false,
+            a_empty_rows: true,
+            b_full: false,
+        },
+    ];
+
+    /// A `rows × cols` matrix whose stored entries mix ordinary values with
+    /// `-0.0`, exact zeros and subnormals (in both `f32` and `f64`).
+    fn special_csr<S: Scalar>(
+        rows: usize,
+        cols: usize,
+        full: bool,
+        empty_rows: bool,
+        seed: u64,
+    ) -> Csr<S> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let (mut indptr, mut indices, mut data) = (vec![0usize], Vec::new(), Vec::new());
+        for i in 0..rows {
+            for j in 0..cols {
+                let keep = if empty_rows && i % 3 == 1 {
+                    false
+                } else {
+                    full || next() % 3 == 0
+                };
+                if keep {
+                    let r = next();
+                    let v = match r % 8 {
+                        0 => 0.0,
+                        1 => -0.0,
+                        2 => 1e-40,   // subnormal in f32
+                        3 => -1e-310, // subnormal in f64
+                        4 => f64::MIN_POSITIVE,
+                        _ => ((r >> 11) as f64 / (1u64 << 53) as f64) * 4.0 - 2.0,
+                    };
+                    indices.push(j as u32);
+                    data.push(S::from_f64(v));
+                }
+            }
+            indptr.push(indices.len());
+        }
+        Csr::try_from_parts(rows, cols, indptr, indices, data).unwrap()
+    }
+
+    /// Runs the dense kernel on every SIMD tier this CPU supports, serially
+    /// and split across a pool, and checks each output bit for bit against
+    /// the gather program.
+    fn dense_tiers_match_gather<S: Scalar>(a: &Csr<S>, b: &Csr<S>, what: &str) {
+        let gather =
+            SymbolicProduct::plan_with_mode(&a.pattern(), &b.pattern(), KernelMode::Gather);
+        let want: Vec<u64> = gather
+            .execute(a, b)
+            .data()
+            .iter()
+            .map(|v| v.to_f64().to_bits())
+            .collect();
+        let plan = SymbolicProduct::plan_with_mode(&a.pattern(), &b.pattern(), KernelMode::Dense);
+        let pool = WorkerPool::new(2);
+        for tier in SimdTier::available() {
+            for parallel in [false, true] {
+                let mut scratch = plan.scratch::<S>(1);
+                let mut out = Csr::from_pattern(Arc::clone(plan.out_pattern()));
+                // Twice: from a fresh and from a dirty output.
+                for round in 0..2 {
+                    let pool = parallel.then_some(&pool);
+                    plan.dense_into(tier, a, b, &mut out, &mut scratch, pool);
+                    let got: Vec<u64> = out.data().iter().map(|v| v.to_f64().to_bits()).collect();
+                    assert_eq!(
+                        got, want,
+                        "{what} on {tier:?} (parallel {parallel}, round {round})"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Every output width from 1 to 40 (every masked-tail length of a
+    /// 16-lane and an 8-lane vector) and a few multi-block widths, in `f32`
+    /// and `f64`, on full and partial patterns with empty rows.
+    #[test]
+    fn dense_kernel_width_sweep_matches_gather_on_every_tier() {
+        let widths = (1..=40).chain([63, 64, 65, 97, 130]);
+        for (w, cols) in widths.enumerate() {
+            for (n, shapes) in SHAPES.iter().enumerate() {
+                let seed = (w * SHAPES.len() + n) as u64;
+                let (rows, inner) = (7 + w % 5, 3 + w % 9);
+                let what = format!("cols {cols}, {shapes:?}");
+                let a32 = special_csr::<f32>(rows, inner, shapes.a_full, shapes.a_empty_rows, seed);
+                let b32 = special_csr::<f32>(inner, cols, shapes.b_full, false, seed + 1);
+                dense_tiers_match_gather(&a32, &b32, &format!("f32 {what}"));
+                let a64 = special_csr::<f64>(rows, inner, shapes.a_full, shapes.a_empty_rows, seed);
+                let b64 = special_csr::<f64>(inner, cols, shapes.b_full, false, seed + 1);
+                dense_tiers_match_gather(&a64, &b64, &format!("f64 {what}"));
+            }
+        }
+    }
+
+    #[test]
+    fn dense_plans_skip_scratch_only_for_full_narrow_right_operands() {
+        let full = special_csr::<f64>(20, 20, true, false, 1);
+        let plan =
+            SymbolicProduct::plan_with_mode(&full.pattern(), &full.pattern(), KernelMode::Dense);
+        assert!(plan.out_pattern().is_full());
+        assert_eq!(plan.scratch::<f64>(4).bytes(), 0);
+        assert_eq!(plan.scratch_bytes::<f64>(4), 0);
+        // Wider than one panel block: packed into the blocked layout.
+        let wide = special_csr::<f64>(20, 65, true, false, 2);
+        let plan =
+            SymbolicProduct::plan_with_mode(&full.pattern(), &wide.pattern(), KernelMode::Dense);
+        assert_eq!(plan.scratch::<f64>(1).bytes(), plan.scratch_bytes::<f64>(1));
+        assert!(plan.scratch_bytes::<f64>(1) >= 20 * 65 * 8);
+        // A partial right operand is packed too.
+        let partial = special_csr::<f64>(20, 20, false, false, 3);
+        let plan =
+            SymbolicProduct::plan_with_mode(&full.pattern(), &partial.pattern(), KernelMode::Dense);
+        assert_eq!(plan.scratch::<f64>(1).bytes(), plan.scratch_bytes::<f64>(1));
+        assert!(plan.scratch_bytes::<f64>(1) >= 20 * 20 * 8);
+    }
+
+    #[test]
+    fn overwriting_kernels_keep_the_output_pattern_handle() {
+        let a = special_csr::<f64>(6, 9, true, false, 4);
+        let b = special_csr::<f64>(9, 12, true, false, 5);
+        for mode in [KernelMode::Gustavson, KernelMode::Dense] {
+            let plan = SymbolicProduct::plan_with_mode(&a.pattern(), &b.pattern(), mode);
+            let mut scratch = plan.scratch::<f64>(1);
+            let mut out = Csr::from_pattern(Arc::clone(plan.out_pattern()));
+            let before = out.data().as_ptr();
+            plan.execute_into_with(&a, &b, &mut out, &mut scratch);
+            assert!(Arc::ptr_eq(out.pattern_ref(), plan.out_pattern()));
+            assert_eq!(out.data().as_ptr(), before, "{mode:?} must write in place");
+            assert_eq!(out, spgemm(&a, &b), "{mode:?}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(48))]
+
+        #[test]
+        fn dense_kernel_matches_gather_on_random_patterns(
+            (rows, inner, cols, shape) in (1usize..24, 1usize..24, 1usize..41, 0usize..5),
+            seed in 0u64..1_000_000,
+            double in 0usize..2,
+        ) {
+            let s = SHAPES[shape];
+            let what = format!("{rows}x{inner}x{cols} {s:?} seed {seed}");
+            if double == 1 {
+                let a = special_csr::<f64>(rows, inner, s.a_full, s.a_empty_rows, seed);
+                let b = special_csr::<f64>(inner, cols, s.b_full, false, seed ^ 0xB);
+                dense_tiers_match_gather(&a, &b, &what);
+            } else {
+                let a = special_csr::<f32>(rows, inner, s.a_full, s.a_empty_rows, seed);
+                let b = special_csr::<f32>(inner, cols, s.b_full, false, seed ^ 0xB);
+                dense_tiers_match_gather(&a, &b, &what);
+            }
+        }
     }
 
     #[test]

@@ -31,6 +31,7 @@ mod tensor;
 mod vector;
 
 pub mod init;
+pub mod panel;
 
 pub use error::ShapeError;
 pub use matrix::Matrix;

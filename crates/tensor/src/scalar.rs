@@ -4,9 +4,10 @@
 //! models can train in `f32` (matching GPU practice in the paper) while test
 //! oracles (finite differences, exactness bounds) run in `f64`.
 
+use crate::panel::{self, PanelRows, RowSink, SimdTier};
 use std::fmt::{Debug, Display};
 use std::iter::Sum;
-use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
+use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Range, Sub, SubAssign};
 
 /// A floating-point scalar type usable as the element of vectors, matrices,
 /// and tensors throughout the BPPSA workspace.
@@ -85,40 +86,15 @@ pub trait Scalar:
     /// Machine epsilon for the type.
     fn epsilon() -> Self;
 
-    /// Element-wise `dst[i] = dst[i] + a · src[i]` over the common prefix of
-    /// the two slices — the inner loop of dense numeric kernels. The default
-    /// body is the scalar loop; `f32`/`f64` override it with a 256-bit SIMD
-    /// version on `x86_64` when AVX is available at runtime. Every override
-    /// must be **bit-for-bit identical** to the scalar loop: exactly one
-    /// IEEE multiply and one IEEE add per element, in round-to-nearest —
-    /// which rules out FMA (fused rounding differs) but not plain vector
-    /// mul/add (IEEE per lane).
-    #[inline]
-    fn slice_axpy(dst: &mut [Self], a: Self, src: &[Self]) {
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d += a * *s;
-        }
-    }
-
-    /// Two stacked [`Scalar::slice_axpy`]s in one pass:
-    /// `dst[i] = (dst[i] + a1 · src1[i]) + a2 · src2[i]`, with exactly that
-    /// association — bit-for-bit identical to two sequential `slice_axpy`
-    /// calls, but with the accumulator loaded and stored once per *two*
-    /// multiply–adds (dense kernels are load/store-port-bound, not
-    /// multiply-bound). The same no-FMA override rules apply.
-    #[inline]
-    fn slice_axpy2(dst: &mut [Self], a1: Self, src1: &[Self], a2: Self, src2: &[Self]) {
-        let n = dst.len().min(src1.len()).min(src2.len());
-        for i in 0..n {
-            dst[i] = dst[i] + a1 * src1[i] + a2 * src2[i];
-        }
-    }
-
-    /// Four stacked [`Scalar::slice_axpy`]s in one pass, associated as
-    /// `(((dst + a1·s1) + a2·s2) + a3·s3) + a4·s4` per element — bit-for-bit
-    /// identical to four sequential `slice_axpy` calls, with the accumulator
-    /// loaded and stored once per *four* multiply–adds. The same no-FMA
-    /// override rules apply.
+    /// Four stacked axpys in one pass over the common prefix of the slices:
+    /// `dst[i] = (((dst[i] + a1·src1[i]) + a2·src2[i]) + a3·src3[i]) +
+    /// a4·src4[i]`, with exactly that association. The default body is the
+    /// scalar loop; `f32`/`f64` override it with a SIMD version on `x86_64`
+    /// (AVX, and AVX-512F for `f64`) when the CPU supports it at runtime.
+    /// Every override must be **bit-for-bit identical** to the scalar loop:
+    /// exactly one IEEE multiply and one IEEE add per term, in
+    /// round-to-nearest — which rules out FMA (fused rounding differs) but
+    /// not plain vector mul/add (IEEE per lane).
     #[allow(clippy::too_many_arguments)]
     #[inline]
     fn slice_axpy4(
@@ -143,207 +119,51 @@ pub trait Scalar:
         }
     }
 
-    /// Element-wise `dst[i] = ZERO + a · src[i]` over the common prefix —
-    /// the *initializing* form of [`Scalar::slice_axpy`]. The leading
-    /// `ZERO +` canonicalizes a `-0.0` product to `+0.0` (IEEE
-    /// round-to-nearest: `(+0.0) + (-0.0) == +0.0`), matching the generic
-    /// SpGEMM's first-term contract. The same bit-for-bit override rules as
-    /// [`Scalar::slice_axpy`] apply.
-    #[inline]
-    fn slice_scale_canonical(dst: &mut [Self], a: Self, src: &[Self]) {
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d = Self::ZERO + a * *s;
-        }
+    /// Computes rows `rows` of the dense-panel product `job` into `sink` on
+    /// `tier`: the register-tiled microkernel under the dense SpGEMM kernel
+    /// (see [`crate::panel`]). Each output element is
+    /// `((0 + a₀·p₀) + a₁·p₁) + …` over the row's stored entries in order,
+    /// one IEEE multiply and one IEEE add per term, so every tier computes
+    /// the same bits. The default body runs the scalar tier for any `tier`;
+    /// `f32`/`f64` run the tier they are given.
+    ///
+    /// # Safety
+    ///
+    /// The kernel reads and writes without bounds checks, so the caller
+    /// guarantees:
+    ///
+    /// * `rows.end < job.indptr.len()`, and for every `i` in `rows`,
+    ///   `job.indptr[i] <= job.indptr[i + 1] <= job.indices.len()` and
+    ///   `job.indices.len() <= job.data.len()`;
+    /// * `job.panel.len()` is a multiple of `job.cols` — a
+    ///   `k_rows × cols` panel in the blocked layout of
+    ///   [`PanelRows::panel`] — and every entry `e` of those rows has
+    ///   `job.indices[e] < k_rows`; when `job.dense_a`, entry `s` of each
+    ///   row has index `s`;
+    /// * a [`RowSink::Dense`] holds at least `rows.len() · job.cols` values;
+    ///   a [`RowSink::Listed`] pattern has `rows.end < indptr.len()`,
+    ///   non-decreasing offsets over `rows`, ascending columns below
+    ///   `job.cols` within each row, and `data` holds at least
+    ///   `indptr[rows.end] - indptr[rows.start]` values.
+    unsafe fn panel_rows(
+        tier: SimdTier,
+        job: &PanelRows<'_, Self>,
+        rows: Range<usize>,
+        sink: RowSink<'_, Self>,
+    ) {
+        let _ = tier;
+        panel::scalar_rows(job, rows, sink)
     }
 }
 
-/// 256-bit AVX bodies for the [`Scalar`] slice kernels. Plain `vmulpd` /
+/// AVX and AVX-512F bodies of [`Scalar::slice_axpy4`]. Plain `vmulpd` /
 /// `vaddpd` (and the `ps` forms) only — one IEEE multiply and one IEEE add
-/// per lane, so results are bit-for-bit identical to the scalar loops. FMA
+/// per lane, so results are bit-for-bit identical to the scalar loop. FMA
 /// is deliberately not used: its fused single rounding would diverge from
-/// the scalar path and break the kernels' differential contract.
+/// the scalar path.
 #[cfg(target_arch = "x86_64")]
 mod avx {
     use std::arch::x86_64::*;
-
-    /// # Safety
-    ///
-    /// Caller must have verified AVX support (`is_x86_feature_detected!`).
-    #[target_feature(enable = "avx")]
-    pub unsafe fn axpy_f64(dst: &mut [f64], a: f64, src: &[f64]) {
-        let n = dst.len().min(src.len());
-        let av = _mm256_set1_pd(a);
-        let (dp, sp) = (dst.as_mut_ptr(), src.as_ptr());
-        let mut i = 0;
-        // Two independent 4-lane streams per iteration keep both vector
-        // ALU ports busy (no cross-iteration dependency: distinct elements).
-        while i + 8 <= n {
-            let r0 = _mm256_add_pd(
-                _mm256_loadu_pd(dp.add(i)),
-                _mm256_mul_pd(av, _mm256_loadu_pd(sp.add(i))),
-            );
-            let r1 = _mm256_add_pd(
-                _mm256_loadu_pd(dp.add(i + 4)),
-                _mm256_mul_pd(av, _mm256_loadu_pd(sp.add(i + 4))),
-            );
-            _mm256_storeu_pd(dp.add(i), r0);
-            _mm256_storeu_pd(dp.add(i + 4), r1);
-            i += 8;
-        }
-        while i < n {
-            *dp.add(i) = *dp.add(i) + a * *sp.add(i);
-            i += 1;
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Caller must have verified AVX support (`is_x86_feature_detected!`).
-    #[target_feature(enable = "avx")]
-    pub unsafe fn axpy2_f64(dst: &mut [f64], a1: f64, src1: &[f64], a2: f64, src2: &[f64]) {
-        let n = dst.len().min(src1.len()).min(src2.len());
-        let av1 = _mm256_set1_pd(a1);
-        let av2 = _mm256_set1_pd(a2);
-        let (dp, s1, s2) = (dst.as_mut_ptr(), src1.as_ptr(), src2.as_ptr());
-        let mut i = 0;
-        while i + 8 <= n {
-            // `(d + a1·s1) + a2·s2` per lane — the association of two
-            // stacked axpys, kept explicit so the result is bit-identical.
-            let r0 = _mm256_add_pd(
-                _mm256_add_pd(
-                    _mm256_loadu_pd(dp.add(i)),
-                    _mm256_mul_pd(av1, _mm256_loadu_pd(s1.add(i))),
-                ),
-                _mm256_mul_pd(av2, _mm256_loadu_pd(s2.add(i))),
-            );
-            let r1 = _mm256_add_pd(
-                _mm256_add_pd(
-                    _mm256_loadu_pd(dp.add(i + 4)),
-                    _mm256_mul_pd(av1, _mm256_loadu_pd(s1.add(i + 4))),
-                ),
-                _mm256_mul_pd(av2, _mm256_loadu_pd(s2.add(i + 4))),
-            );
-            _mm256_storeu_pd(dp.add(i), r0);
-            _mm256_storeu_pd(dp.add(i + 4), r1);
-            i += 8;
-        }
-        while i < n {
-            *dp.add(i) = *dp.add(i) + a1 * *s1.add(i) + a2 * *s2.add(i);
-            i += 1;
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Caller must have verified AVX support (`is_x86_feature_detected!`).
-    #[target_feature(enable = "avx")]
-    pub unsafe fn axpy2_f32(dst: &mut [f32], a1: f32, src1: &[f32], a2: f32, src2: &[f32]) {
-        let n = dst.len().min(src1.len()).min(src2.len());
-        let av1 = _mm256_set1_ps(a1);
-        let av2 = _mm256_set1_ps(a2);
-        let (dp, s1, s2) = (dst.as_mut_ptr(), src1.as_ptr(), src2.as_ptr());
-        let mut i = 0;
-        while i + 16 <= n {
-            let r0 = _mm256_add_ps(
-                _mm256_add_ps(
-                    _mm256_loadu_ps(dp.add(i)),
-                    _mm256_mul_ps(av1, _mm256_loadu_ps(s1.add(i))),
-                ),
-                _mm256_mul_ps(av2, _mm256_loadu_ps(s2.add(i))),
-            );
-            let r1 = _mm256_add_ps(
-                _mm256_add_ps(
-                    _mm256_loadu_ps(dp.add(i + 8)),
-                    _mm256_mul_ps(av1, _mm256_loadu_ps(s1.add(i + 8))),
-                ),
-                _mm256_mul_ps(av2, _mm256_loadu_ps(s2.add(i + 8))),
-            );
-            _mm256_storeu_ps(dp.add(i), r0);
-            _mm256_storeu_ps(dp.add(i + 8), r1);
-            i += 16;
-        }
-        while i < n {
-            *dp.add(i) = *dp.add(i) + a1 * *s1.add(i) + a2 * *s2.add(i);
-            i += 1;
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Caller must have verified AVX support (`is_x86_feature_detected!`).
-    #[target_feature(enable = "avx")]
-    pub unsafe fn scale_canonical_f64(dst: &mut [f64], a: f64, src: &[f64]) {
-        let n = dst.len().min(src.len());
-        let av = _mm256_set1_pd(a);
-        let zero = _mm256_setzero_pd();
-        let (dp, sp) = (dst.as_mut_ptr(), src.as_ptr());
-        let mut i = 0;
-        while i + 8 <= n {
-            // `(+0.0) + x` per lane — the same `-0.0 → +0.0`
-            // canonicalization as the scalar `ZERO + a·s`.
-            let r0 = _mm256_add_pd(zero, _mm256_mul_pd(av, _mm256_loadu_pd(sp.add(i))));
-            let r1 = _mm256_add_pd(zero, _mm256_mul_pd(av, _mm256_loadu_pd(sp.add(i + 4))));
-            _mm256_storeu_pd(dp.add(i), r0);
-            _mm256_storeu_pd(dp.add(i + 4), r1);
-            i += 8;
-        }
-        while i < n {
-            *dp.add(i) = 0.0 + a * *sp.add(i);
-            i += 1;
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Caller must have verified AVX-512F support
-    /// (`is_x86_feature_detected!`).
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn axpy_f64_512(dst: &mut [f64], a: f64, src: &[f64]) {
-        let n = dst.len().min(src.len());
-        let av = _mm512_set1_pd(a);
-        let (dp, sp) = (dst.as_mut_ptr(), src.as_ptr());
-        let mut i = 0;
-        while i + 8 <= n {
-            let r = _mm512_add_pd(
-                _mm512_loadu_pd(dp.add(i)),
-                _mm512_mul_pd(av, _mm512_loadu_pd(sp.add(i))),
-            );
-            _mm512_storeu_pd(dp.add(i), r);
-            i += 8;
-        }
-        while i < n {
-            *dp.add(i) = *dp.add(i) + a * *sp.add(i);
-            i += 1;
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Caller must have verified AVX-512F support
-    /// (`is_x86_feature_detected!`).
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn axpy2_f64_512(dst: &mut [f64], a1: f64, src1: &[f64], a2: f64, src2: &[f64]) {
-        let n = dst.len().min(src1.len()).min(src2.len());
-        let av1 = _mm512_set1_pd(a1);
-        let av2 = _mm512_set1_pd(a2);
-        let (dp, s1, s2) = (dst.as_mut_ptr(), src1.as_ptr(), src2.as_ptr());
-        let mut i = 0;
-        while i + 8 <= n {
-            let r = _mm512_add_pd(
-                _mm512_add_pd(
-                    _mm512_loadu_pd(dp.add(i)),
-                    _mm512_mul_pd(av1, _mm512_loadu_pd(s1.add(i))),
-                ),
-                _mm512_mul_pd(av2, _mm512_loadu_pd(s2.add(i))),
-            );
-            _mm512_storeu_pd(dp.add(i), r);
-            i += 8;
-        }
-        while i < n {
-            *dp.add(i) = *dp.add(i) + a1 * *s1.add(i) + a2 * *s2.add(i);
-            i += 1;
-        }
-    }
 
     /// # Safety
     ///
@@ -481,79 +301,6 @@ mod avx {
             i += 1;
         }
     }
-
-    /// # Safety
-    ///
-    /// Caller must have verified AVX-512F support
-    /// (`is_x86_feature_detected!`).
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn scale_canonical_f64_512(dst: &mut [f64], a: f64, src: &[f64]) {
-        let n = dst.len().min(src.len());
-        let av = _mm512_set1_pd(a);
-        let zero = _mm512_setzero_pd();
-        let (dp, sp) = (dst.as_mut_ptr(), src.as_ptr());
-        let mut i = 0;
-        while i + 8 <= n {
-            let r = _mm512_add_pd(zero, _mm512_mul_pd(av, _mm512_loadu_pd(sp.add(i))));
-            _mm512_storeu_pd(dp.add(i), r);
-            i += 8;
-        }
-        while i < n {
-            *dp.add(i) = 0.0 + a * *sp.add(i);
-            i += 1;
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Caller must have verified AVX support (`is_x86_feature_detected!`).
-    #[target_feature(enable = "avx")]
-    pub unsafe fn axpy_f32(dst: &mut [f32], a: f32, src: &[f32]) {
-        let n = dst.len().min(src.len());
-        let av = _mm256_set1_ps(a);
-        let (dp, sp) = (dst.as_mut_ptr(), src.as_ptr());
-        let mut i = 0;
-        while i + 16 <= n {
-            let r0 = _mm256_add_ps(
-                _mm256_loadu_ps(dp.add(i)),
-                _mm256_mul_ps(av, _mm256_loadu_ps(sp.add(i))),
-            );
-            let r1 = _mm256_add_ps(
-                _mm256_loadu_ps(dp.add(i + 8)),
-                _mm256_mul_ps(av, _mm256_loadu_ps(sp.add(i + 8))),
-            );
-            _mm256_storeu_ps(dp.add(i), r0);
-            _mm256_storeu_ps(dp.add(i + 8), r1);
-            i += 16;
-        }
-        while i < n {
-            *dp.add(i) = *dp.add(i) + a * *sp.add(i);
-            i += 1;
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Caller must have verified AVX support (`is_x86_feature_detected!`).
-    #[target_feature(enable = "avx")]
-    pub unsafe fn scale_canonical_f32(dst: &mut [f32], a: f32, src: &[f32]) {
-        let n = dst.len().min(src.len());
-        let av = _mm256_set1_ps(a);
-        let zero = _mm256_setzero_ps();
-        let (dp, sp) = (dst.as_mut_ptr(), src.as_ptr());
-        let mut i = 0;
-        while i + 16 <= n {
-            let r0 = _mm256_add_ps(zero, _mm256_mul_ps(av, _mm256_loadu_ps(sp.add(i))));
-            let r1 = _mm256_add_ps(zero, _mm256_mul_ps(av, _mm256_loadu_ps(sp.add(i + 8))));
-            _mm256_storeu_ps(dp.add(i), r0);
-            _mm256_storeu_ps(dp.add(i + 8), r1);
-            i += 16;
-        }
-        while i < n {
-            *dp.add(i) = 0.0 + a * *sp.add(i);
-            i += 1;
-        }
-    }
 }
 
 impl Scalar for f32 {
@@ -609,31 +356,6 @@ impl Scalar for f32 {
     fn epsilon() -> Self {
         f32::EPSILON
     }
-    #[inline]
-    fn slice_axpy(dst: &mut [Self], a: Self, src: &[Self]) {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx") {
-            // SAFETY: AVX support just verified.
-            unsafe { avx::axpy_f32(dst, a, src) };
-            return;
-        }
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d += a * *s;
-        }
-    }
-    #[inline]
-    fn slice_axpy2(dst: &mut [Self], a1: Self, src1: &[Self], a2: Self, src2: &[Self]) {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx") {
-            // SAFETY: AVX support just verified.
-            unsafe { avx::axpy2_f32(dst, a1, src1, a2, src2) };
-            return;
-        }
-        let n = dst.len().min(src1.len()).min(src2.len());
-        for i in 0..n {
-            dst[i] = dst[i] + a1 * src1[i] + a2 * src2[i];
-        }
-    }
     #[allow(clippy::too_many_arguments)]
     #[inline]
     fn slice_axpy4(
@@ -663,17 +385,13 @@ impl Scalar for f32 {
             dst[i] = dst[i] + a1 * src1[i] + a2 * src2[i] + a3 * src3[i] + a4 * src4[i];
         }
     }
-    #[inline]
-    fn slice_scale_canonical(dst: &mut [Self], a: Self, src: &[Self]) {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx") {
-            // SAFETY: AVX support just verified.
-            unsafe { avx::scale_canonical_f32(dst, a, src) };
-            return;
-        }
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d = Self::ZERO + a * *s;
-        }
+    unsafe fn panel_rows(
+        tier: SimdTier,
+        job: &PanelRows<'_, Self>,
+        rows: Range<usize>,
+        sink: RowSink<'_, Self>,
+    ) {
+        panel::f32_rows(tier, job, rows, sink)
     }
 }
 
@@ -730,45 +448,6 @@ impl Scalar for f64 {
     fn epsilon() -> Self {
         f64::EPSILON
     }
-    #[inline]
-    fn slice_axpy(dst: &mut [Self], a: Self, src: &[Self]) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                // SAFETY: AVX-512F support just verified.
-                unsafe { avx::axpy_f64_512(dst, a, src) };
-                return;
-            }
-            if std::arch::is_x86_feature_detected!("avx") {
-                // SAFETY: AVX support just verified.
-                unsafe { avx::axpy_f64(dst, a, src) };
-                return;
-            }
-        }
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d += a * *s;
-        }
-    }
-    #[inline]
-    fn slice_axpy2(dst: &mut [Self], a1: Self, src1: &[Self], a2: Self, src2: &[Self]) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                // SAFETY: AVX-512F support just verified.
-                unsafe { avx::axpy2_f64_512(dst, a1, src1, a2, src2) };
-                return;
-            }
-            if std::arch::is_x86_feature_detected!("avx") {
-                // SAFETY: AVX support just verified.
-                unsafe { avx::axpy2_f64(dst, a1, src1, a2, src2) };
-                return;
-            }
-        }
-        let n = dst.len().min(src1.len()).min(src2.len());
-        for i in 0..n {
-            dst[i] = dst[i] + a1 * src1[i] + a2 * src2[i];
-        }
-    }
     #[allow(clippy::too_many_arguments)]
     #[inline]
     fn slice_axpy4(
@@ -805,24 +484,13 @@ impl Scalar for f64 {
             dst[i] = dst[i] + a1 * src1[i] + a2 * src2[i] + a3 * src3[i] + a4 * src4[i];
         }
     }
-    #[inline]
-    fn slice_scale_canonical(dst: &mut [Self], a: Self, src: &[Self]) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                // SAFETY: AVX-512F support just verified.
-                unsafe { avx::scale_canonical_f64_512(dst, a, src) };
-                return;
-            }
-            if std::arch::is_x86_feature_detected!("avx") {
-                // SAFETY: AVX support just verified.
-                unsafe { avx::scale_canonical_f64(dst, a, src) };
-                return;
-            }
-        }
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d = Self::ZERO + a * *s;
-        }
+    unsafe fn panel_rows(
+        tier: SimdTier,
+        job: &PanelRows<'_, Self>,
+        rows: Range<usize>,
+        sink: RowSink<'_, Self>,
+    ) {
+        panel::f64_rows(tier, job, rows, sink)
     }
 }
 
@@ -866,102 +534,46 @@ mod tests {
         assert_eq!(s, 6.0);
     }
 
-    /// The SIMD overrides must be bit-for-bit identical to the scalar
-    /// default bodies — including the `-0.0 → +0.0` canonicalization of
-    /// `slice_scale_canonical` and tail elements past the vector width.
+    /// `slice_axpy4`'s SIMD overrides must be bit-for-bit identical to the
+    /// scalar loop of four stacked axpys — including signed zeros and the
+    /// tail elements past the vector width.
     #[test]
     fn slice_kernels_match_scalar_loops_bit_for_bit() {
-        // 37 elements: covers the unrolled body, the single-vector tail,
-        // and the scalar tail for both 4-lane f64 and 8-lane f32.
-        let src_f64: Vec<f64> = (0..37)
-            .map(|i| match i % 5 {
-                0 => 0.0,
-                1 => -0.0,
-                2 => 1.5 - i as f64,
-                3 => i as f64 * 0.3,
-                _ => -(i as f64) * 0.7,
-            })
-            .collect();
-        for a in [0.0f64, -0.0, 2.5, -1.25] {
-            let mut dst = vec![0.125f64; 37];
-            let mut expect = dst.clone();
-            f64::slice_axpy(&mut dst, a, &src_f64);
-            for (d, s) in expect.iter_mut().zip(&src_f64) {
-                *d += a * *s;
-            }
-            for (x, y) in dst.iter().zip(&expect) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-            f64::slice_scale_canonical(&mut dst, a, &src_f64);
-            for (d, s) in expect.iter_mut().zip(&src_f64) {
-                *d = 0.0 + a * *s;
-            }
-            for (x, y) in dst.iter().zip(&expect) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-            // axpy2 == the two sequential axpys it replaces, bit-for-bit.
-            let src2: Vec<f64> = src_f64.iter().rev().copied().collect();
-            let mut paired = dst.clone();
-            f64::slice_axpy2(&mut paired, a, &src_f64, -0.75, &src2);
-            f64::slice_axpy(&mut dst, a, &src_f64);
-            f64::slice_axpy(&mut dst, -0.75, &src2);
-            for (x, y) in paired.iter().zip(&dst) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-            // axpy4 == the four sequential axpys it replaces, bit-for-bit.
-            let src3: Vec<f64> = src_f64.iter().map(|v| v * 0.5 - 0.2).collect();
-            let src4: Vec<f64> = src_f64.iter().map(|v| 1.0 - v).collect();
-            let mut quad = dst.clone();
-            f64::slice_axpy4(
-                &mut quad, a, &src_f64, -0.75, &src2, 0.3, &src3, -1.5, &src4,
-            );
-            f64::slice_axpy(&mut dst, a, &src_f64);
-            f64::slice_axpy(&mut dst, -0.75, &src2);
-            f64::slice_axpy(&mut dst, 0.3, &src3);
-            f64::slice_axpy(&mut dst, -1.5, &src4);
-            for (x, y) in quad.iter().zip(&dst) {
-                assert_eq!(x.to_bits(), y.to_bits());
+        fn check<S: Scalar>() {
+            // 37 elements: covers the vector body and the scalar tail for
+            // 4-lane f64, 8-lane f32 and 8-lane f64 (AVX-512).
+            let src1: Vec<S> = (0..37)
+                .map(|i| {
+                    S::from_f64(match i % 5 {
+                        0 => 0.0,
+                        1 => -0.0,
+                        2 => 1.5 - i as f64,
+                        3 => i as f64 * 0.3,
+                        _ => -(i as f64) * 0.7,
+                    })
+                })
+                .collect();
+            let src2: Vec<S> = src1.iter().rev().copied().collect();
+            let src3: Vec<S> = src1
+                .iter()
+                .map(|&v| v * S::from_f64(0.5) - S::from_f64(0.2))
+                .collect();
+            let src4: Vec<S> = src1.iter().map(|&v| S::ONE - v).collect();
+            for a in [0.0, -0.0, 2.5, -1.25] {
+                let a = S::from_f64(a);
+                let (a2, a3, a4) = (S::from_f64(-0.75), S::from_f64(0.3), S::from_f64(-1.5));
+                let mut quad = vec![S::from_f64(0.125); 37];
+                let mut expect = quad.clone();
+                S::slice_axpy4(&mut quad, a, &src1, a2, &src2, a3, &src3, a4, &src4);
+                for (i, d) in expect.iter_mut().enumerate() {
+                    *d = *d + a * src1[i] + a2 * src2[i] + a3 * src3[i] + a4 * src4[i];
+                }
+                for (x, y) in quad.iter().zip(&expect) {
+                    assert_eq!(x.to_f64().to_bits(), y.to_f64().to_bits());
+                }
             }
         }
-        let src_f32: Vec<f32> = src_f64.iter().map(|&v| v as f32).collect();
-        for a in [0.0f32, -0.0, 2.5, -1.25] {
-            let mut dst = vec![0.125f32; 37];
-            let mut expect = dst.clone();
-            f32::slice_axpy(&mut dst, a, &src_f32);
-            for (d, s) in expect.iter_mut().zip(&src_f32) {
-                *d += a * *s;
-            }
-            for (x, y) in dst.iter().zip(&expect) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-            f32::slice_scale_canonical(&mut dst, a, &src_f32);
-            for (d, s) in expect.iter_mut().zip(&src_f32) {
-                *d = 0.0 + a * *s;
-            }
-            for (x, y) in dst.iter().zip(&expect) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-            let src2: Vec<f32> = src_f32.iter().rev().copied().collect();
-            let mut paired = dst.clone();
-            f32::slice_axpy2(&mut paired, a, &src_f32, -0.75, &src2);
-            f32::slice_axpy(&mut dst, a, &src_f32);
-            f32::slice_axpy(&mut dst, -0.75, &src2);
-            for (x, y) in paired.iter().zip(&dst) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-            let src3: Vec<f32> = src_f32.iter().map(|v| v * 0.5 - 0.2).collect();
-            let src4: Vec<f32> = src_f32.iter().map(|v| 1.0 - v).collect();
-            let mut quad = dst.clone();
-            f32::slice_axpy4(
-                &mut quad, a, &src_f32, -0.75, &src2, 0.3, &src3, -1.5, &src4,
-            );
-            f32::slice_axpy(&mut dst, a, &src_f32);
-            f32::slice_axpy(&mut dst, -0.75, &src2);
-            f32::slice_axpy(&mut dst, 0.3, &src3);
-            f32::slice_axpy(&mut dst, -1.5, &src4);
-            for (x, y) in quad.iter().zip(&dst) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
+        check::<f32>();
+        check::<f64>();
     }
 }
