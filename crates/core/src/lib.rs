@@ -71,8 +71,8 @@ pub use diagonal::{
 pub use element::{JacobianScanOp, ScanElement};
 pub use network::{Gradients, JacobianRepr, Network, Tape};
 pub use planned::{
-    chain_matches_shape, KernelCounts, Mru, PlanKind, PlannedBackwardCache, PlannedScan,
-    ScanWorkspace, PLAN_CACHE_CAPACITY,
+    chain_matches_shape, KernelCounts, Mru, PlanKind, PlannedScan, ScanWorkspace,
+    PLAN_CACHE_CAPACITY,
 };
 // The numeric-kernel selection surface travels with `BppsaOptions::kernel`,
 // so consumers of the planned API don't need a direct `bppsa-sparse` dep.

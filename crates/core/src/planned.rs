@@ -352,8 +352,8 @@ impl PlannedScan {
     ///
     /// Planning is the one expensive, allocation-heavy step of the
     /// plan→workspace→execute lifecycle; callers that build plans on demand
-    /// (the `bppsa-serve` lane bring-up, the [`PlannedBackwardCache`]) report
-    /// it for cold-start observability.
+    /// (the `bppsa-serve` lane bring-up, the `BackwardEngine` of
+    /// `bppsa-models`) report it for cold-start observability.
     pub fn build_time(&self) -> Duration {
         self.build_time
     }
@@ -1157,46 +1157,19 @@ pub fn chain_matches_shape<S: Scalar>(
             })
 }
 
-/// A self-managing plan/workspace pair for training loops: call
-/// [`PlannedBackwardCache::backward`] every iteration and it re-plans only
-/// when the chain's structure actually changes (first call, shape change,
-/// pruning that alters a pattern, different options). In the steady state it
-/// is a zero-allocation [`PlannedScan::execute_with`].
-///
-/// # Examples
-///
-/// ```
-/// use bppsa_core::{BppsaOptions, JacobianChain, PlannedBackwardCache, ScanElement};
-/// use bppsa_sparse::Csr;
-/// use bppsa_tensor::Vector;
-///
-/// let mut cache = PlannedBackwardCache::<f64>::new();
-/// for step in 0..3 {
-///     let mut chain = JacobianChain::new(Vector::from_vec(vec![1.0, step as f64]));
-///     chain.push(ScanElement::Sparse(Csr::from_diagonal(&[2.0, 0.5 * step as f64])));
-///     let grads = cache.backward(&chain, BppsaOptions::serial());
-///     assert_eq!(grads.grads().len(), 1);
-/// }
-/// assert_eq!(cache.plans_built(), 1); // same structure → planned once
-/// ```
-#[derive(Debug, Default)]
-pub struct PlannedBackwardCache<S> {
-    entries: Mru<CacheEntry<S>>,
-    plans_built: usize,
-}
-
-/// How many distinct chain structures the plan cache (and the chain cache
-/// layered on it, e.g. `FusedPlannedState` in `bppsa-models`) retain.
-/// Training loops see at most a handful of shapes (the full mini-batch
-/// shape plus the epoch-end remainder); the least recently used entry is
-/// evicted beyond this.
+/// How many distinct chain structures a plan cache retains — the default
+/// capacity of [`Mru`], used by the `BackwardEngine` of `bppsa-models`
+/// and as the default lane cap of `bppsa-serve`. Training loops see at
+/// most a handful of shapes (the full mini-batch shape plus the epoch-end
+/// remainder); the least recently used entry is evicted beyond this.
 pub const PLAN_CACHE_CAPACITY: usize = 8;
 
 /// A tiny bounded most-recently-used store: linear predicate lookup, hit
 /// moves the entry to the back, miss inserts (evicting the front when
-/// full). Shared by [`PlannedBackwardCache`] and the chain cache in
-/// `bppsa-models` so the recency/eviction behavior of plan and chain
-/// entries cannot drift apart.
+/// full). Shared by the `BackwardEngine` of `bppsa-models` (plans, chains
+/// and executors per route and shape) and the lane router of
+/// `bppsa-serve`, so their recency and eviction behavior cannot drift
+/// apart.
 #[derive(Debug)]
 pub struct Mru<T> {
     entries: Vec<T>,
@@ -1331,68 +1304,6 @@ impl<T> Mru<T> {
 impl<T> Default for Mru<T> {
     fn default() -> Self {
         Self::new(PLAN_CACHE_CAPACITY)
-    }
-}
-
-#[derive(Debug)]
-struct CacheEntry<S> {
-    opts: BppsaOptions,
-    plan: PlannedScan,
-    workspace: ScanWorkspace<S>,
-}
-
-impl<S: Scalar> PlannedBackwardCache<S> {
-    /// An empty cache (plans on first use).
-    pub fn new() -> Self {
-        Self {
-            entries: Mru::new(PLAN_CACHE_CAPACITY),
-            plans_built: 0,
-        }
-    }
-
-    /// Runs the planned backward pass for `chain`, re-planning first if no
-    /// cached plan matches the chain's structure and options.
-    ///
-    /// Up to [`PLAN_CACHE_CAPACITY`] distinct structures are retained, so a
-    /// training loop that alternates shapes — e.g. full mini-batches plus a
-    /// smaller epoch-end remainder batch — still plans each shape exactly
-    /// once instead of thrashing.
-    pub fn backward(&mut self, chain: &JacobianChain<S>, opts: BppsaOptions) -> &BackwardResult<S> {
-        let (entry, inserted) = self.entries.find_or_insert_with(
-            |e| e.opts == opts && e.plan.matches(chain),
-            || {
-                let plan = PlannedScan::plan(chain, opts);
-                let workspace = plan.workspace();
-                CacheEntry {
-                    opts,
-                    plan,
-                    workspace,
-                }
-            },
-        );
-        if inserted {
-            self.plans_built += 1;
-        }
-        let CacheEntry {
-            plan, workspace, ..
-        } = entry;
-        plan.execute_with(chain, workspace)
-    }
-
-    /// How many times a plan has been built — the number of distinct chain
-    /// structures seen (modulo eviction), not the iteration count.
-    pub fn plans_built(&self) -> usize {
-        self.plans_built
-    }
-
-    /// Number of currently cached plan/workspace pairs.
-    pub fn cached_plans(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// The most recently used plan, if any (for FLOP/workspace accounting).
-    pub fn plan(&self) -> Option<&PlannedScan> {
-        self.entries.last().map(|e| &e.plan)
     }
 }
 
@@ -1707,25 +1618,6 @@ mod tests {
                 .abs();
             assert_eq!(diff, 0.0, "n={n}: diagonal kernel must be bit-for-bit");
         }
-    }
-
-    #[test]
-    fn cache_retains_alternating_shapes() {
-        // The epoch-end remainder-batch pattern: full shape, small shape,
-        // full shape, … must plan each shape once, not thrash.
-        let full = sparse_chain(12, 21);
-        let remainder = sparse_chain(7, 22);
-        let mut cache = PlannedBackwardCache::<f64>::new();
-        for _ in 0..3 {
-            let _ = cache.backward(&full, BppsaOptions::serial());
-            let _ = cache.backward(&remainder, BppsaOptions::serial());
-        }
-        assert_eq!(cache.plans_built(), 2);
-        assert_eq!(cache.cached_plans(), 2);
-        // Results stay correct for both shapes.
-        let out = cache.backward(&full, BppsaOptions::serial()).clone();
-        let reference = bppsa_backward(&full, BppsaOptions::serial());
-        assert!(out.max_abs_diff(&reference) < 1e-12);
     }
 
     #[test]

@@ -22,9 +22,12 @@
 //!
 //! validated against finite differences, BPTT, and the scan in the tests.
 
-use crate::pooled::PooledChainSet;
-use bppsa_core::{bppsa_backward, BppsaOptions, JacobianChain, PlannedBackwardCache, ScanElement};
+use crate::engine::{block_template, common_len, refresh_block, BackwardEngine};
+use crate::served::ServedSubmitError;
+use crate::train::BackwardMethod;
+use bppsa_core::{bppsa_backward, BppsaOptions, JacobianChain, ScanElement};
 use bppsa_ops::SoftmaxCrossEntropy;
+use bppsa_sparse::Csr;
 use bppsa_tensor::{init, Matrix, Scalar, Vector};
 use rand::rngs::StdRng;
 
@@ -181,7 +184,7 @@ impl<S: Scalar> Gru<S> {
     }
 
     /// Writes [`Gru::hidden_jacobian_t`]'s values row-major into a
-    /// caller-owned slice — the allocation-free refresh used when a pooled
+    /// caller-owned slice — the allocation-free refresh used when an engine
     /// chain's element values are rewritten in place between iterations.
     ///
     /// # Panics
@@ -211,62 +214,55 @@ impl<S: Scalar> Gru<S> {
         }
     }
 
-    /// Per-sample `∇h_t` sequences for a whole mini-batch via
-    /// [`BatchedBackward`](bppsa_core::BatchedBackward): each sample's
-    /// chain executes the same compiled plan concurrently on its own pooled
-    /// workspace, with chain values refreshed in place between iterations.
-    /// Gradient-equivalent to calling [`Gru::hidden_grads_bppsa`] per
-    /// sample; the batch fan-out (not per-level splitting) supplies the
-    /// parallelism.
+    /// Per-sample `∇h_t` sequences for a whole mini-batch through a
+    /// [`BackwardEngine`] (`method` picks the fused, per-sample or served
+    /// route). The chain is built once per shape and its values refreshed
+    /// in place every call. Equal to calling [`Gru::hidden_grads_bppsa`]
+    /// per sample up to the planned executor's rounding.
+    ///
+    /// # Errors
+    ///
+    /// [`ServedSubmitError`] when the served route's service refuses a
+    /// request past its retry budget; the batch can be run again.
     ///
     /// # Panics
     ///
-    /// Panics if the batch is empty or sequences have unequal lengths.
-    pub fn hidden_grads_bppsa_pooled(
+    /// Panics if the batch is empty, sequences have unequal lengths, or
+    /// `method` is not a batch route (see [`BackwardEngine::scan`]).
+    pub fn hidden_grads_bppsa_batch(
         &self,
         batch: &[(&[GruStep<S>], Vector<S>)],
-        opts: BppsaOptions,
-        state: &mut PooledChainSet<S>,
-    ) -> Vec<Vec<Vector<S>>> {
-        assert!(!batch.is_empty(), "pooled backward: empty batch");
-        let t_len = batch[0].0.len();
-        assert!(
-            batch.iter().all(|(steps, _)| steps.len() == t_len),
-            "pooled backward: unequal sequence lengths"
-        );
+        method: BackwardMethod,
+        engine: &mut BackwardEngine<S>,
+    ) -> Result<Vec<Vec<Vector<S>>>, ServedSubmitError> {
+        let t_len = common_len(batch.iter().map(|(steps, _)| steps.len()));
         let h_dim = self.hidden_size();
-        state.ensure((t_len, h_dim), batch.len(), opts, || {
-            self.build_hidden_chain(batch[0].0, &batch[0].1, true)
-        });
         let zero = Vector::zeros(h_dim);
-        for (k, chain) in state.chains_mut(batch.len()).iter_mut().enumerate() {
-            let (steps, seed) = &batch[k];
-            chain
-                .seed_mut()
-                .as_mut_slice()
-                .copy_from_slice(seed.as_slice());
-            for (t, element) in chain.jacobians_mut().iter_mut().enumerate() {
-                let h_prev = if t == 0 { &zero } else { &steps[t - 1].h };
-                let ScanElement::Sparse(m) = element else {
-                    unreachable!("pooled chain elements are CSR")
-                };
-                self.fill_hidden_jacobian_values(&steps[t], h_prev, m.data_mut());
-            }
-        }
-        let out: Vec<std::sync::Mutex<Vec<Vector<S>>>> =
-            batch.iter().map(|_| Default::default()).collect();
-        state.execute(batch.len(), &|k, result| {
-            *out[k]
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner) =
-                (0..t_len).map(|t| result.grad_x(t + 1).clone()).collect();
-        });
-        out.into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-            })
-            .collect()
+        engine.run(
+            method,
+            (t_len, h_dim),
+            batch.len(),
+            |blocks| {
+                let block = Csr::from_dense_pattern(&Matrix::zeros(h_dim, h_dim));
+                block_template(&block, blocks, t_len)
+            },
+            |k, chain, block| {
+                let (steps, seed) = &batch[k];
+                refresh_block(chain, block, seed.as_slice(), |t, values| {
+                    let h_prev = if t == 0 { &zero } else { &steps[t - 1].h };
+                    self.fill_hidden_jacobian_values(&steps[t], h_prev, values);
+                });
+            },
+            |_, result, block| {
+                (0..t_len)
+                    .map(|t| {
+                        let g =
+                            &result.grad_x(t + 1).as_slice()[block * h_dim..(block + 1) * h_dim];
+                        Vector::from_vec(g.to_vec())
+                    })
+                    .collect()
+            },
+        )
     }
 
     /// The `∇h_t` sequence via classic BPTT (sequential — Equation 3's
@@ -293,55 +289,21 @@ impl<S: Scalar> Gru<S> {
         seed: &Vector<S>,
         opts: BppsaOptions,
     ) -> Vec<Vector<S>> {
-        let chain = self.build_hidden_chain(steps, seed, false);
+        let chain = self.build_hidden_chain(steps, seed);
         let result = bppsa_backward(&chain, opts);
         (0..steps.len())
             .map(|t| result.grad_x(t + 1).clone())
             .collect()
     }
 
-    /// [`Gru::hidden_grads_bppsa`] through a plan/workspace cache: the chain
-    /// enters the scan as CSR with the (dense, hence trivially
-    /// deterministic) full pattern, so the whole backward pass re-executes
-    /// as a numeric-only program over reused buffers every iteration.
-    ///
-    /// Unlike the RNN's `FusedPlannedState` path, the chain itself is still
-    /// rebuilt (allocated) per call here, and the cache's match check falls
-    /// back to a structural pattern compare; hoisting the GRU chain the
-    /// same way is future work.
-    pub fn hidden_grads_bppsa_planned(
-        &self,
-        steps: &[GruStep<S>],
-        seed: &Vector<S>,
-        opts: BppsaOptions,
-        cache: &mut PlannedBackwardCache<S>,
-    ) -> Vec<Vector<S>> {
-        let chain = self.build_hidden_chain(steps, seed, true);
-        let result = cache.backward(&chain, opts);
-        (0..steps.len())
-            .map(|t| result.grad_x(t + 1).clone())
-            .collect()
-    }
-
     /// Builds the Equation-5 chain over the per-step hidden Jacobians
-    /// (`h_{-1} = 0`), as dense elements or as full-pattern CSR (the
-    /// plannable representation).
-    fn build_hidden_chain(
-        &self,
-        steps: &[GruStep<S>],
-        seed: &Vector<S>,
-        sparse: bool,
-    ) -> JacobianChain<S> {
+    /// (`h_{-1} = 0`) as dense elements, for the unplanned scan.
+    fn build_hidden_chain(&self, steps: &[GruStep<S>], seed: &Vector<S>) -> JacobianChain<S> {
         let zero = Vector::zeros(self.hidden_size());
         let mut chain = JacobianChain::new(seed.clone());
         for (t, step) in steps.iter().enumerate() {
             let h_prev = if t == 0 { &zero } else { &steps[t - 1].h };
-            let jt = self.hidden_jacobian_t(step, h_prev);
-            chain.push(if sparse {
-                ScanElement::Sparse(bppsa_sparse::Csr::from_dense_pattern(&jt))
-            } else {
-                ScanElement::Dense(jt)
-            });
+            chain.push(ScanElement::Dense(self.hidden_jacobian_t(step, h_prev)));
         }
         chain
     }
@@ -369,16 +331,18 @@ mod tests {
         let steps = g.forward(&x);
         let (_, seed) = g.loss_and_seed(&steps, 1);
         let bptt = g.hidden_grads_bptt(&steps, &seed);
-        let mut cache = PlannedBackwardCache::new();
+        let mut engine = BackwardEngine::new();
+        let fused = BackwardMethod::bppsa_fused_planned(BppsaOptions::serial());
         for round in 0..3 {
-            let planned =
-                g.hidden_grads_bppsa_planned(&steps, &seed, BppsaOptions::serial(), &mut cache);
-            for (t, (a, b)) in bptt.iter().zip(&planned).enumerate() {
+            let planned = g
+                .hidden_grads_bppsa_batch(&[(&steps, seed.clone())], fused, &mut engine)
+                .unwrap();
+            for (t, (a, b)) in bptt.iter().zip(&planned[0]).enumerate() {
                 let diff = a.max_abs_diff(b);
                 assert!(diff < 1e-9, "round {round} t={t}: diff {diff}");
             }
         }
-        assert_eq!(cache.plans_built(), 1);
+        assert_eq!(engine.plans_built(), 1);
     }
 
     #[test]
@@ -395,9 +359,12 @@ mod tests {
             .iter()
             .map(|(steps, seed)| (steps.as_slice(), seed.clone()))
             .collect();
-        let mut state = PooledChainSet::new();
+        let mut engine = BackwardEngine::new();
+        let method = BackwardMethod::bppsa_pooled_batched(BppsaOptions::serial());
         for round in 0..3 {
-            let pooled = g.hidden_grads_bppsa_pooled(&batch, BppsaOptions::serial(), &mut state);
+            let pooled = g
+                .hidden_grads_bppsa_batch(&batch, method, &mut engine)
+                .unwrap();
             for (k, (steps, seed)) in prepared.iter().enumerate() {
                 let bptt = g.hidden_grads_bptt(steps, seed);
                 for (t, (a, b)) in bptt.iter().zip(&pooled[k]).enumerate() {
@@ -406,10 +373,10 @@ mod tests {
                 }
             }
         }
-        assert_eq!(state.plans_built(), 1);
+        assert_eq!(engine.plans_built(), 1);
         // Smaller batch: same per-sample shape, same plan.
-        let _ = g.hidden_grads_bppsa_pooled(&batch[..2], BppsaOptions::serial(), &mut state);
-        assert_eq!(state.plans_built(), 1);
+        let _ = g.hidden_grads_bppsa_batch(&batch[..2], method, &mut engine);
+        assert_eq!(engine.plans_built(), 1);
     }
 
     #[test]

@@ -6,6 +6,10 @@
 //!   backward paths (Figures 9/10's workload);
 //! * [`DiagonalSsm`] — a diagonal linear-recurrence (SSM) toy whose scan
 //!   chain the planner compiles into the elementwise diagonal fast path;
+//! * [`Gru`] — a GRU showing the scan formulation is architecture-agnostic;
+//! * [`BackwardEngine`] — the one planned mini-batch backward: fused,
+//!   per-sample and served routes over refreshable chains, with one
+//!   in-order gradient sum, behind each recurrent model's batch method;
 //! * [`lenet5`] — LeNet-5 for the Figure 7 convergence experiment;
 //! * [`vgg11`] / [`vgg11_convs`] — VGG-11 for Table 1 and the §4.2 pruned
 //!   retraining micro-benchmark (Figure 11);
@@ -34,10 +38,10 @@
 #![warn(missing_docs)]
 
 mod datasets;
+mod engine;
 mod gru;
 mod lenet;
 mod optim;
-mod pooled;
 mod rnn;
 mod served;
 mod ssm;
@@ -47,13 +51,13 @@ pub mod prune;
 pub mod train;
 
 pub use datasets::{BitstreamDataset, BitstreamSample, ImageSample, SyntheticCifar};
+pub use engine::{refresh_block, BackwardEngine, FusedPlannedState, SsmTrainState};
 pub use gru::{Gru, GruStep};
 pub use lenet::{lenet5, lenet_tiny};
 pub use optim::{Adam, Optimizer, Sgd};
-pub use pooled::PooledChainSet;
-pub use rnn::{FusedPlannedState, RnnBatchSample, RnnGrads, RnnStates, VanillaRnn};
-pub use served::{ServedChainSet, ServedSubmitError};
-pub use ssm::{DiagonalSsm, SsmBatchSample, SsmGrads, SsmStates, SsmTrainState};
+pub use rnn::{RnnBatchSample, RnnGrads, RnnStates, VanillaRnn};
+pub use served::ServedSubmitError;
+pub use ssm::{DiagonalSsm, SsmBatchSample, SsmGrads, SsmStates};
 pub use vgg::{vgg11, vgg11_conv_geometry, vgg11_convs, VGG11_WIDTHS};
 
 #[cfg(test)]

@@ -11,12 +11,16 @@
 //! (classic back-propagation through time, the cuDNN-baseline math) and
 //! [`VanillaRnn::backward_bppsa`] (chain → modified Blelloch scan →
 //! Equation 2 parameter accumulation, which has no sequential dependency).
+//! Mini-batches run the same scan through a
+//! [`BackwardEngine`](crate::BackwardEngine) with
+//! [`VanillaRnn::backward_bppsa_batch`].
 
-use crate::pooled::PooledChainSet;
-use bppsa_core::{
-    bppsa_backward, BppsaOptions, JacobianChain, Mru, PlannedBackwardCache, ScanElement,
-};
+use crate::engine::{block_template, common_len, refresh_block, sum_in_order, BackwardEngine};
+use crate::served::ServedSubmitError;
+use crate::train::BackwardMethod;
+use bppsa_core::{bppsa_backward, BppsaOptions, JacobianChain, ScanElement};
 use bppsa_ops::SoftmaxCrossEntropy;
+use bppsa_sparse::Csr;
 use bppsa_tensor::{init, Matrix, Scalar, Vector};
 use rand::rngs::StdRng;
 
@@ -52,6 +56,19 @@ pub type RnnStates<S> = Vec<Vector<S>>;
 /// One prepared sample of a fused mini-batch backward:
 /// `(bits, states, seed, ∇logits)` with the seeds pre-scaled by `1/B`.
 pub type RnnBatchSample<'a, S> = (&'a [S], &'a RnnStates<S>, Vector<S>, Vector<S>);
+
+/// The common sequence length of a batch's samples.
+///
+/// # Panics
+///
+/// Panics if the batch is empty or sequences have unequal lengths.
+fn batch_len<S>(batch: &[RnnBatchSample<'_, S>]) -> usize {
+    common_len(
+        batch
+            .iter()
+            .flat_map(|(bits, states, _, _)| [bits.len(), states.len()]),
+    )
+}
 
 /// Gradients of all RNN parameters, in [`VanillaRnn::params`] layout.
 #[derive(Debug, Clone)]
@@ -110,84 +127,6 @@ impl<S: Scalar> RnnGrads<S> {
         a.iter()
             .zip(&b)
             .fold(S::ZERO, |acc, (&x, &y)| acc.maximum((x - y).abs()))
-    }
-}
-
-/// Persistent planned-backward state for one RNN training loop, covering
-/// both batched strategies:
-///
-/// * **fused** ([`VanillaRnn::backward_bppsa_batched_planned`]): the whole
-///   mini-batch enters one block-diagonal scan; this state holds the
-///   reusable chain (patterns shared across iterations) plus the
-///   plan/workspace cache;
-/// * **pooled** ([`VanillaRnn::backward_bppsa_pooled`]): one per-sample
-///   chain each, fanned concurrently over a
-///   [`WorkspacePool`](bppsa_core::WorkspacePool) sharing a single compiled
-///   plan; this state owns the [`PooledChainSet`];
-/// * **served** ([`VanillaRnn::backward_bppsa_served`]): the pooled
-///   strategy routed through the `bppsa-serve` front door — per-sample
-///   chains submitted as independent requests and coalesced by the
-///   service's deadline micro-batcher; this state owns the
-///   [`ServedChainSet`](crate::ServedChainSet).
-#[derive(Debug, Default)]
-pub struct FusedPlannedState<S> {
-    /// Reusable chains keyed by `(batch, timesteps, hidden)` — one per
-    /// mini-batch shape (e.g. the full shape plus the epoch-end remainder),
-    /// so alternating shapes refresh values instead of rebuilding. Shares
-    /// the plan cache's MRU policy and capacity, so a shape's chain and its
-    /// plan/workspace are retained and evicted together.
-    chains: Mru<((usize, usize, usize), JacobianChain<S>)>,
-    cache: PlannedBackwardCache<S>,
-    pooled: PooledChainSet<S>,
-    served: crate::ServedChainSet<S>,
-}
-
-impl<S: Scalar> FusedPlannedState<S> {
-    /// An empty state (builds chain and plan on first use).
-    pub fn new() -> Self {
-        Self {
-            chains: Mru::default(),
-            cache: PlannedBackwardCache::new(),
-            pooled: PooledChainSet::new(),
-            served: crate::ServedChainSet::new(),
-        }
-    }
-
-    /// How many fused plans have been built — the number of distinct batch
-    /// shapes seen.
-    pub fn plans_built(&self) -> usize {
-        self.cache.plans_built()
-    }
-
-    /// Number of currently cached fused plan/workspace pairs.
-    pub fn cached_plans(&self) -> usize {
-        self.cache.cached_plans()
-    }
-
-    /// The pooled per-sample chain set (the
-    /// [`VanillaRnn::backward_bppsa_pooled`] state).
-    pub fn pooled_mut(&mut self) -> &mut PooledChainSet<S> {
-        &mut self.pooled
-    }
-
-    /// How many pooled plans have been built — stays at `1` for a whole
-    /// run including remainder batches, since the per-sample chain shape is
-    /// batch-size independent.
-    pub fn pooled_plans_built(&self) -> usize {
-        self.pooled.plans_built()
-    }
-
-    /// The served per-sample chain set (the
-    /// [`VanillaRnn::backward_bppsa_served`] state).
-    pub fn served_mut(&mut self) -> &mut crate::ServedChainSet<S> {
-        &mut self.served
-    }
-
-    /// How many service lanes the served path has built — stays at `1` for
-    /// a whole run including remainder batches (same batch-size-independent
-    /// shape argument as [`FusedPlannedState::pooled_plans_built`]).
-    pub fn served_lanes_built(&self) -> usize {
-        self.served.lanes_built()
     }
 }
 
@@ -365,172 +304,73 @@ impl<S: Scalar> VanillaRnn<S> {
         grads
     }
 
-    /// Batched BPPSA: fuses `B` samples' backward passes into **one** scan
-    /// over block-diagonal Jacobians (`diag(J_t^{(1)}, …, J_t^{(B)})` per
-    /// timestep), then accumulates parameter gradients across the batch.
+    /// Batched BPPSA through a [`BackwardEngine`]: `method` picks the
+    /// fused route (one block-diagonal chain over the batch, the
+    /// `diag(J_t^{(1)}, …, J_t^{(B)})` per timestep that the paper's CUDA
+    /// implementation batches across thread blocks), the per-sample route
+    /// (one chain each over pooled workspaces) or the served route. Each
+    /// sample's parameter gradients (Equation 2) are summed in sample
+    /// order, so every route returns the same bits, equal to summing
+    /// [`VanillaRnn::backward_bppsa`] over the batch up to the planned
+    /// executor's rounding.
     ///
-    /// Algebraically identical to summing [`VanillaRnn::backward_bppsa`]
-    /// over the batch (block-diagonal products are blockwise products), but
-    /// each scan level now carries `B×` the parallel work — the batching the
-    /// paper's CUDA implementation performs across thread blocks.
+    /// # Errors
+    ///
+    /// [`ServedSubmitError`] when the served route's service refuses a
+    /// request past its retry budget; the batch can be run again.
     ///
     /// # Panics
     ///
-    /// Panics if the batch is empty or sequences have unequal lengths.
-    pub fn backward_bppsa_batched(
+    /// Panics if the batch is empty, sequences have unequal lengths, or
+    /// `method` is not a batch route (see [`BackwardEngine::scan`]).
+    pub fn backward_bppsa_batch(
         &self,
         batch: &[RnnBatchSample<'_, S>],
-        opts: BppsaOptions,
-    ) -> RnnGrads<S> {
-        let chain = self.build_batched_chain(batch);
-        let result = bppsa_backward(&chain, opts);
-        self.accumulate_batched_grads(batch, &result)
+        method: BackwardMethod,
+        engine: &mut BackwardEngine<S>,
+    ) -> Result<RnnGrads<S>, ServedSubmitError> {
+        let t_len = batch_len(batch);
+        let h_dim = self.hidden_size();
+        let partials = engine.run(
+            method,
+            (t_len, h_dim),
+            batch.len(),
+            |blocks| self.chain_template(blocks, t_len),
+            |k, chain, block| self.refresh_sample(&batch[k], chain, block),
+            |k, result, block| {
+                let (bits, states, _, g_logits) = &batch[k];
+                let mut grads = RnnGrads::zeros(self.input_dim, h_dim, self.num_classes());
+                self.accumulate_sample_grads(bits, states, g_logits, result, block, &mut grads);
+                grads
+            },
+        )?;
+        Ok(sum_in_order(partials, RnnGrads::accumulate))
     }
 
-    /// [`VanillaRnn::backward_bppsa_batched`] through persistent
-    /// [`FusedPlannedState`]: the symbolic phase of every scan combine runs
-    /// once (on the first mini-batch of each shape) and each subsequent
-    /// iteration refreshes the reused chain's *values* in place and
-    /// executes the numeric-only program over reused buffers — the paper's
-    /// §3.3 hoisting applied to the whole training loop, with no
-    /// per-iteration chain reconstruction.
+    /// [`VanillaRnn::backward_bppsa_batch`] on the fused route. Kept only
+    /// for the benchmark (`perfbench/`), which names it.
     pub fn backward_bppsa_batched_planned(
         &self,
         batch: &[RnnBatchSample<'_, S>],
         opts: BppsaOptions,
-        state: &mut FusedPlannedState<S>,
+        engine: &mut BackwardEngine<S>,
     ) -> RnnGrads<S> {
-        let result = self.fused_planned_scan(batch, opts, state);
-        self.accumulate_batched_grads(batch, result)
+        let method = BackwardMethod::BppsaFusedPlanned { opts };
+        self.backward_bppsa_batch(batch, method, engine)
+            .expect("the fused route never refuses")
     }
 
-    /// Pooled batched BPPSA: one **per-sample** chain each, all matching a
-    /// single compiled plan, fanned concurrently across the scan worker
-    /// pool with each sample on its own pooled workspace
-    /// ([`BatchedBackward`](bppsa_core::BatchedBackward)) — the concurrent
-    /// complement of the fused block-diagonal strategy.
-    ///
-    /// Valid whenever the optimizer consumes the batch-*accumulated*
-    /// gradient (all of this crate's optimizers do): per-sample gradients
-    /// are summed as results arrive, so the result equals summing
-    /// [`VanillaRnn::backward_bppsa`] over the batch up to floating-point
-    /// reassociation of that sum. Unlike the fused path, the plan is
-    /// batch-size independent: an epoch-end remainder batch reuses the full
-    /// batch's plan instead of planning a second shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch is empty or sequences have unequal lengths.
+    /// [`VanillaRnn::backward_bppsa_batch`] on the per-sample route. Kept
+    /// only for the benchmark (`perfbench/`), which names it.
     pub fn backward_bppsa_pooled(
         &self,
         batch: &[RnnBatchSample<'_, S>],
         opts: BppsaOptions,
-        state: &mut PooledChainSet<S>,
+        engine: &mut BackwardEngine<S>,
     ) -> RnnGrads<S> {
-        assert!(!batch.is_empty(), "batched backward: empty batch");
-        let t_len = batch[0].1.len();
-        assert!(
-            batch
-                .iter()
-                .all(|(bits, states, _, _)| states.len() == t_len && bits.len() == t_len),
-            "batched backward: unequal sequence lengths"
-        );
-        let h_dim = self.hidden_size();
-        state.ensure((t_len, h_dim), batch.len(), opts, || {
-            self.build_batched_chain(&batch[..1])
-        });
-        // Refresh every sample's chain values in place (patterns are fixed).
-        for (k, chain) in state.chains_mut(batch.len()).iter_mut().enumerate() {
-            let (_, states, seed, _) = &batch[k];
-            chain
-                .seed_mut()
-                .as_mut_slice()
-                .copy_from_slice(seed.as_slice());
-            for (t, element) in chain.jacobians_mut().iter_mut().enumerate() {
-                let ScanElement::Sparse(m) = element else {
-                    unreachable!("pooled chain elements are CSR")
-                };
-                self.fill_hidden_jacobian_values(&states[t], m.data_mut());
-            }
-        }
-        // Fan out; sum per-sample parameter gradients as results stream in.
-        let grads =
-            std::sync::Mutex::new(RnnGrads::zeros(self.input_dim, h_dim, self.num_classes()));
-        state.execute(batch.len(), &|k, result| {
-            let (bits, states, _, g_logits) = &batch[k];
-            let mut partial = RnnGrads::zeros(self.input_dim, h_dim, self.num_classes());
-            self.accumulate_sample_grads(bits, states, g_logits, result, 0, &mut partial);
-            grads
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .accumulate(&partial);
-        });
-        grads
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Served batched BPPSA: the pooled per-sample strategy routed through
-    /// the `bppsa-serve` front door — each sample's chain is submitted as
-    /// an **independent request** to a [`BppsaService`](bppsa_serve::BppsaService),
-    /// whose deadline micro-batcher coalesces them (and any other traffic
-    /// sharing the service) into batched planned-scan fan-outs.
-    ///
-    /// Gradient-equivalent to [`VanillaRnn::backward_bppsa_pooled`] (the
-    /// optimizer consumes the batch sum; the service executes the same
-    /// compiled per-sample plan over pooled workspaces), with the same
-    /// batch-size-independent shape economy: remainder batches reuse the
-    /// full batch's lane, so a steady run builds exactly one lane.
-    ///
-    /// # Errors
-    ///
-    /// [`ServedSubmitError`](crate::ServedSubmitError) when the front door
-    /// refuses a request past the service's retry budget (see
-    /// [`ServedChainSet::execute`](crate::ServedChainSet::execute)); the
-    /// chains are back at rest, so the batch can be re-executed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch is empty or sequences have unequal lengths.
-    pub fn backward_bppsa_served(
-        &self,
-        batch: &[RnnBatchSample<'_, S>],
-        state: &mut crate::ServedChainSet<S>,
-    ) -> Result<RnnGrads<S>, crate::ServedSubmitError> {
-        assert!(!batch.is_empty(), "batched backward: empty batch");
-        let t_len = batch[0].1.len();
-        assert!(
-            batch
-                .iter()
-                .all(|(bits, states, _, _)| states.len() == t_len && bits.len() == t_len),
-            "batched backward: unequal sequence lengths"
-        );
-        let h_dim = self.hidden_size();
-        state.ensure((t_len, h_dim), batch.len(), || {
-            self.build_batched_chain(&batch[..1])
-        });
-        // Refresh every sample's chain values in place (patterns are fixed).
-        state.for_each_chain_mut(batch.len(), |k, chain| {
-            let (_, states, seed, _) = &batch[k];
-            chain
-                .seed_mut()
-                .as_mut_slice()
-                .copy_from_slice(seed.as_slice());
-            for (t, element) in chain.jacobians_mut().iter_mut().enumerate() {
-                let ScanElement::Sparse(m) = element else {
-                    unreachable!("served chain elements are CSR")
-                };
-                self.fill_hidden_jacobian_values(&states[t], m.data_mut());
-            }
-        });
-        // Submit all, wait all; results are consumed sequentially on this
-        // thread, so the sum accumulates without a lock.
-        let mut grads = RnnGrads::zeros(self.input_dim, h_dim, self.num_classes());
-        state.execute(batch.len(), &mut |k, result| {
-            let (bits, states, _, g_logits) = &batch[k];
-            self.accumulate_sample_grads(bits, states, g_logits, result, 0, &mut grads);
-        })?;
-        Ok(grads)
+        let method = BackwardMethod::BppsaPooled { opts };
+        self.backward_bppsa_batch(batch, method, engine)
+            .expect("the per-sample route never refuses")
     }
 
     /// Mixed-shape inference-gradient serving: independent per-sample
@@ -545,7 +385,7 @@ impl<S: Scalar> VanillaRnn<S> {
     ///
     /// # Errors
     ///
-    /// [`ServedSubmitError`](crate::ServedSubmitError) when a request is
+    /// [`ServedSubmitError`] when a request is
     /// refused past the shared service's retry budget — a shared front
     /// door may shed load or have quarantined this sequence length's
     /// shape; requests accepted before the refusal are waited out first.
@@ -559,7 +399,7 @@ impl<S: Scalar> VanillaRnn<S> {
         &self,
         service: &bppsa_serve::BppsaService<S>,
         requests: &[RnnBatchSample<'_, S>],
-    ) -> Result<Vec<RnnGrads<S>>, crate::ServedSubmitError> {
+    ) -> Result<Vec<RnnGrads<S>>, ServedSubmitError> {
         let tickets: Vec<bppsa_serve::Ticket<S>> = requests
             .iter()
             .map(|_| bppsa_serve::Ticket::new())
@@ -575,7 +415,7 @@ impl<S: Scalar> VanillaRnn<S> {
             match service.submit_retrying(chain, ticket) {
                 Ok(()) => submitted += 1,
                 Err(e) => {
-                    failure = Some(crate::ServedSubmitError {
+                    failure = Some(ServedSubmitError {
                         index: k,
                         refusal: e.kind(),
                     });
@@ -610,107 +450,42 @@ impl<S: Scalar> VanillaRnn<S> {
             .collect())
     }
 
-    /// The scan half of [`VanillaRnn::backward_bppsa_batched_planned`]:
-    /// refresh (or build) the fused chain and run the planned backward.
-    /// Allocation-free in the steady state — the chain, its patterns, the
-    /// plan, and the workspace all persist inside `state`.
-    pub fn fused_planned_scan<'s>(
-        &self,
-        batch: &[RnnBatchSample<'_, S>],
-        opts: BppsaOptions,
-        state: &'s mut FusedPlannedState<S>,
-    ) -> &'s bppsa_core::BackwardResult<S> {
-        assert!(!batch.is_empty(), "batched backward: empty batch");
-        let t_len = batch[0].1.len();
-        assert!(
-            batch
-                .iter()
-                .all(|(bits, states, _, _)| states.len() == t_len && bits.len() == t_len),
-            "batched backward: unequal sequence lengths"
-        );
-        let h_dim = self.hidden_size();
-        let shape = (batch.len(), t_len, h_dim);
-
-        let FusedPlannedState { chains, cache, .. } = state;
-        let ((_, chain), inserted) = chains.find_or_insert_with(
-            |(sh, _)| *sh == shape,
-            || (shape, self.build_batched_chain(batch)),
-        );
-        if !inserted {
-            // Same structure: rewrite seed and block values in place. The
-            // chain's Arc patterns stay identical across iterations, so the
-            // plan cache's match check is pointer equality.
-            let seed = chain.seed_mut().as_mut_slice();
-            for (k, (_, _, sample_seed, _)) in batch.iter().enumerate() {
-                seed[k * h_dim..(k + 1) * h_dim].copy_from_slice(sample_seed.as_slice());
-            }
-            let block = h_dim * h_dim;
-            for (t, element) in chain.jacobians_mut().iter_mut().enumerate() {
-                let ScanElement::Sparse(m) = element else {
-                    unreachable!("fused chain elements are CSR")
-                };
-                let data = m.data_mut();
-                for (k, (_, states, _, _)) in batch.iter().enumerate() {
-                    self.fill_hidden_jacobian_values(
-                        &states[t],
-                        &mut data[k * block..(k + 1) * block],
-                    );
-                }
-            }
-        }
-
-        cache.backward(chain, opts)
-    }
-
     /// Builds the fused mini-batch chain: concatenated seeds plus one
-    /// block-diagonal CSR element per timestep. The per-sample blocks use
-    /// [`Csr::from_dense_pattern`](bppsa_sparse::Csr::from_dense_pattern),
-    /// so the pattern depends only on `(B, T, hidden)` — deterministic
-    /// across iterations, which is what makes the chain plannable.
+    /// block-diagonal CSR element per timestep. The per-sample blocks store
+    /// every position ([`Csr::from_dense_pattern`]), so the pattern depends
+    /// only on `(B, T, hidden)`, which is what makes the chain plannable.
     ///
     /// # Panics
     ///
     /// Panics if the batch is empty or sequences have unequal lengths.
     pub fn build_batched_chain(&self, batch: &[RnnBatchSample<'_, S>]) -> JacobianChain<S> {
-        assert!(!batch.is_empty(), "batched backward: empty batch");
-        let t_len = batch[0].1.len();
-        assert!(
-            batch
-                .iter()
-                .all(|(bits, states, _, _)| states.len() == t_len && bits.len() == t_len),
-            "batched backward: unequal sequence lengths"
-        );
-
-        // Seed: concatenation of per-sample seeds.
-        let seeds: Vec<&Vector<S>> = batch.iter().map(|(_, _, s, _)| s).collect();
-        let mut chain = JacobianChain::new(Vector::concat(&seeds));
-        // Per timestep: block-diagonal of per-sample Jacobians, in CSR.
-        for t in 0..t_len {
-            let blocks: Vec<bppsa_sparse::Csr<S>> = batch
-                .iter()
-                .map(|(_, states, _, _)| {
-                    bppsa_sparse::Csr::from_dense_pattern(&self.hidden_jacobian_t(&states[t]))
-                })
-                .collect();
-            let refs: Vec<&bppsa_sparse::Csr<S>> = blocks.iter().collect();
-            chain.push(ScanElement::Sparse(bppsa_sparse::Csr::block_diag(&refs)));
+        let mut chain = self.chain_template(batch.len(), batch_len(batch));
+        for (k, sample) in batch.iter().enumerate() {
+            self.refresh_sample(sample, &mut chain, k);
         }
         chain
     }
 
-    /// Accumulates parameter gradients across the batch from the fused
-    /// scan's per-timestep hidden-state gradients (Equation 2).
-    fn accumulate_batched_grads(
+    /// A `blocks`-sample fused chain of `t_len` layers with zero values.
+    fn chain_template(&self, blocks: usize, t_len: usize) -> JacobianChain<S> {
+        let h_dim = self.hidden_size();
+        block_template(
+            &Csr::from_dense_pattern(&Matrix::zeros(h_dim, h_dim)),
+            blocks,
+            t_len,
+        )
+    }
+
+    /// Writes one sample's seed and Jacobian values into block `block`.
+    fn refresh_sample(
         &self,
-        batch: &[RnnBatchSample<'_, S>],
-        result: &bppsa_core::BackwardResult<S>,
-    ) -> RnnGrads<S> {
-        let mut grads = RnnGrads::zeros(self.input_dim, self.hidden_size(), self.num_classes());
-        for (k, (bits, states, _, g_logits)) in batch.iter().enumerate() {
-            // ∇h_t for sample k is block k of the concatenated gradient.
-            self.accumulate_sample_grads(bits, states, g_logits, result, k, &mut grads);
-        }
-        grads
+        (_, states, seed, _): &RnnBatchSample<'_, S>,
+        chain: &mut JacobianChain<S>,
+        block: usize,
+    ) {
+        refresh_block(chain, block, seed.as_slice(), |t, values| {
+            self.fill_hidden_jacobian_values(&states[t], values)
+        });
     }
 
     /// Adds one sample's parameter gradients (Equation 2) into `grads`,
@@ -941,21 +716,20 @@ mod tests {
         for (xs, (states, seed, g_logits)) in all_bits.iter().zip(&stored) {
             batch.push((xs.as_slice(), states, seed.clone(), g_logits.clone()));
         }
-        let batched = rnn.backward_bppsa_batched(&batch, BppsaOptions::serial());
         let expected = expected.unwrap();
-        let diff = batched.max_abs_diff(&expected);
-        assert!(diff < 1e-10, "diff {diff}");
 
-        // The planned/workspace-backed path agrees too, and plans once
-        // across repeated executions.
-        let mut state = FusedPlannedState::new();
+        // The fused route agrees, and plans once across repeated
+        // executions.
+        let mut engine = BackwardEngine::new();
+        let fused = BackwardMethod::bppsa_fused_planned(BppsaOptions::serial());
         for round in 0..3 {
-            let planned =
-                rnn.backward_bppsa_batched_planned(&batch, BppsaOptions::serial(), &mut state);
+            let planned = rnn
+                .backward_bppsa_batch(&batch, fused, &mut engine)
+                .unwrap();
             let diff = planned.max_abs_diff(&expected);
             assert!(diff < 1e-10, "round {round}: diff {diff}");
         }
-        assert_eq!(state.plans_built(), 1);
+        assert_eq!(engine.plans_built(), 1);
     }
 
     #[test]
@@ -1035,18 +809,23 @@ mod tests {
             .map(|(xs, (states, seed, g))| (xs.as_slice(), states, seed.clone(), g.clone()))
             .collect();
         let expected = expected.unwrap();
-        let mut state = PooledChainSet::new();
+        let mut engine = BackwardEngine::new();
+        let pooled = BackwardMethod::bppsa_pooled_batched(BppsaOptions::serial());
         for round in 0..3 {
-            let pooled = rnn.backward_bppsa_pooled(&batch, BppsaOptions::serial(), &mut state);
-            let diff = pooled.max_abs_diff(&expected);
+            let grads = rnn
+                .backward_bppsa_batch(&batch, pooled, &mut engine)
+                .unwrap();
+            let diff = grads.max_abs_diff(&expected);
             assert!(diff < 1e-10, "round {round}: diff {diff}");
         }
-        assert_eq!(state.plans_built(), 1);
+        assert_eq!(engine.plans_built(), 1);
 
         // A smaller "remainder" batch reuses the same plan (same per-sample
-        // shape) — the pooled path's advantage over the fused one.
-        let remainder = rnn.backward_bppsa_pooled(&batch[..2], BppsaOptions::serial(), &mut state);
-        assert_eq!(state.plans_built(), 1);
+        // shape) — the per-sample route's advantage over the fused one.
+        let remainder = rnn
+            .backward_bppsa_batch(&batch[..2], pooled, &mut engine)
+            .unwrap();
+        assert_eq!(engine.plans_built(), 1);
         let mut expected2 = rnn.backward_bppsa(
             &all_bits[0],
             &stored[0].0,
@@ -1078,7 +857,8 @@ mod tests {
             (xs1.as_slice(), &s1, seed1, g1),
             (xs2.as_slice(), &s2, seed2, g2),
         ];
-        let _ = rnn.backward_bppsa_batched(&batch, BppsaOptions::serial());
+        let fused = BackwardMethod::bppsa_fused_planned(BppsaOptions::serial());
+        let _ = rnn.backward_bppsa_batch(&batch, fused, &mut BackwardEngine::new());
     }
 
     #[test]

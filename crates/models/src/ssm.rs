@@ -15,21 +15,17 @@
 //!
 //! Backward paths mirror [`VanillaRnn`](crate::VanillaRnn):
 //! [`DiagonalSsm::backward_sequential`] (the BPTT baseline),
-//! [`DiagonalSsm::backward_bppsa`] (per-sample scan),
-//! [`DiagonalSsm::backward_bppsa_fused`] (one mini-batch-wide scan — a
-//! block-diagonal of diagonals is just a wider diagonal, so the fused
-//! chain *stays on the fast path*),
-//! [`DiagonalSsm::backward_bppsa_pooled`] (per-sample chains over the
-//! workspace pool) and [`DiagonalSsm::backward_bppsa_served`] (the
-//! `bppsa-serve` front door). Training routes through
-//! [`BackwardMethod`](crate::train::BackwardMethod) via
+//! [`DiagonalSsm::backward_bppsa`] (per-sample scan) and
+//! [`DiagonalSsm::backward_bppsa_batch`] (a mini-batch through a
+//! [`BackwardEngine`] — on the fused route a block-diagonal of diagonals
+//! is just a wider diagonal, so the fused chain *stays on the fast path*).
+//! Training routes through [`BackwardMethod`] via
 //! [`ssm_batch_step`](crate::train::ssm_batch_step).
 
-use crate::pooled::PooledChainSet;
-use crate::served::{ServedChainSet, ServedSubmitError};
-use bppsa_core::{
-    bppsa_backward, BackwardResult, BppsaOptions, JacobianChain, PlannedScan, ScanElement,
-};
+use crate::engine::{block_template, common_len, refresh_block, sum_in_order, BackwardEngine};
+use crate::served::ServedSubmitError;
+use crate::train::BackwardMethod;
+use bppsa_core::{bppsa_backward, BackwardResult, BppsaOptions, JacobianChain};
 use bppsa_ops::SoftmaxCrossEntropy;
 use bppsa_sparse::Csr;
 use bppsa_tensor::{init, Matrix, Scalar, Vector};
@@ -152,54 +148,6 @@ impl<S: Scalar> SsmGrads<S> {
     }
 }
 
-/// Persistent batched-backward state for one SSM training loop: the pooled
-/// per-sample chain set and the served front-door state (the SSM analogue
-/// of [`FusedPlannedState`](crate::FusedPlannedState); the fused path
-/// re-plans per call because diagonal plans are symbolic-product-free and
-/// cheap to build).
-#[derive(Debug, Default)]
-pub struct SsmTrainState<S> {
-    pooled: PooledChainSet<S>,
-    served: ServedChainSet<S>,
-}
-
-impl<S: Scalar> SsmTrainState<S> {
-    /// An empty state (builds chains/plans/lanes on first use).
-    pub fn new() -> Self {
-        Self {
-            pooled: PooledChainSet::new(),
-            served: ServedChainSet::new(),
-        }
-    }
-
-    /// The pooled per-sample chain set.
-    pub fn pooled_mut(&mut self) -> &mut PooledChainSet<S> {
-        &mut self.pooled
-    }
-
-    /// The pooled chain set, shared.
-    pub fn pooled(&self) -> &PooledChainSet<S> {
-        &self.pooled
-    }
-
-    /// The served per-sample chain set.
-    pub fn served_mut(&mut self) -> &mut ServedChainSet<S> {
-        &mut self.served
-    }
-
-    /// How many pooled plans have been built — stays at `1` for a whole
-    /// steady-shape run (per-sample chain shape is batch-size independent).
-    pub fn pooled_plans_built(&self) -> usize {
-        self.pooled.plans_built()
-    }
-
-    /// How many service lanes the served path has built — stays at `1` for
-    /// a whole steady-shape run.
-    pub fn served_lanes_built(&self) -> usize {
-        self.served.lanes_built()
-    }
-}
-
 impl<S: Scalar> DiagonalSsm<S> {
     /// Creates an SSM with uniform decay/gate/injection parameters and a
     /// Kaiming-uniform readout.
@@ -270,15 +218,29 @@ impl<S: Scalar> DiagonalSsm<S> {
     /// Jacobians `diag(a_t)` sharing one CSR pattern — the shape the
     /// planner compiles into the elementwise scan program.
     pub fn build_chain(&self, states: &SsmStates<S>, seed: &Vector<S>) -> JacobianChain<S> {
-        let pattern = Csr::from_diagonal(&vec![S::ONE; self.hidden_size()]).pattern();
-        let mut chain = JacobianChain::new(seed.clone());
-        for a_t in &states.a {
-            chain.push(ScanElement::Sparse(Csr::from_pattern_and_values(
-                pattern.clone(),
-                a_t.as_slice().to_vec(),
-            )));
-        }
+        let mut chain = self.chain_template(1, states.len());
+        Self::refresh_sample(states, seed, &mut chain, 0);
         chain
+    }
+
+    /// A `blocks`-sample chain of `t_len` diagonal layers with zero values:
+    /// the block-diagonal of diagonals is one wide diagonal.
+    fn chain_template(&self, blocks: usize, t_len: usize) -> JacobianChain<S> {
+        let ones = vec![S::ONE; self.hidden_size()];
+        block_template(&Csr::from_diagonal(&ones), blocks, t_len)
+    }
+
+    /// Writes one sample's seed and gates into block `block`: a diagonal
+    /// element's values *are* the gate vector.
+    fn refresh_sample(
+        states: &SsmStates<S>,
+        seed: &Vector<S>,
+        chain: &mut JacobianChain<S>,
+        block: usize,
+    ) {
+        refresh_block(chain, block, seed.as_slice(), |t, values| {
+            values.copy_from_slice(states.a[t].as_slice())
+        });
     }
 
     /// One timestep's parameter contributions from `∇h_t` (a slice so the
@@ -384,179 +346,69 @@ impl<S: Scalar> DiagonalSsm<S> {
         grads
     }
 
-    /// Fused batched BPPSA: the whole mini-batch enters **one** scan.
-    /// Because a block-diagonal of diagonal matrices is itself diagonal,
-    /// the fused chain is simply `B·hidden` lanes wide and *stays on the
-    /// elementwise fast path* — unlike the RNN, where fusing trades the
-    /// per-sample structure for block-diagonal CSR products. The plan is
-    /// rebuilt per call: diagonal planning is symbolic-product-free
-    /// (`O(T)` bookkeeping), so there is no §3.3 hoisting to amortize.
+    /// Batched BPPSA through a [`BackwardEngine`]: `method` picks the
+    /// fused route (one `B·hidden`-lane diagonal chain, still on the
+    /// elementwise fast path), the per-sample route (one chain each over
+    /// pooled workspaces) or the served route (whose lane warm-up compiles
+    /// the same elementwise program). Per-sample partials are summed in
+    /// sample order, so every route returns the same bits as summing
+    /// [`DiagonalSsm::backward_bppsa`] over the batch in order.
+    ///
+    /// # Errors
+    ///
+    /// [`ServedSubmitError`] when the served route's service refuses a
+    /// request past its retry budget; the batch can be run again.
     ///
     /// # Panics
     ///
-    /// Panics if the batch is empty or sequences have unequal lengths.
-    pub fn backward_bppsa_fused(
+    /// Panics if the batch is empty, sequences have unequal lengths, or
+    /// `method` is not a batch route (see [`BackwardEngine::scan`]).
+    pub fn backward_bppsa_batch(
         &self,
         batch: &[SsmBatchSample<'_, S>],
-        opts: BppsaOptions,
-    ) -> SsmGrads<S> {
-        assert!(!batch.is_empty(), "batched backward: empty batch");
-        let t_len = batch[0].1.len();
-        assert!(
+        method: BackwardMethod,
+        engine: &mut BackwardEngine<S>,
+    ) -> Result<SsmGrads<S>, ServedSubmitError> {
+        let t_len = common_len(
             batch
                 .iter()
-                .all(|(xs, states, _, _)| states.len() == t_len && xs.len() == t_len),
-            "batched backward: unequal sequence lengths"
+                .flat_map(|(xs, states, _, _)| [xs.len(), states.len()]),
         );
         let h_dim = self.hidden_size();
-        let width = batch.len() * h_dim;
-        let pattern = Csr::from_diagonal(&vec![S::ONE; width]).pattern();
-        let mut seed = Vector::zeros(width);
-        for (k, (_, _, s, _)) in batch.iter().enumerate() {
-            seed.as_mut_slice()[k * h_dim..(k + 1) * h_dim].copy_from_slice(s.as_slice());
-        }
-        let mut chain = JacobianChain::new(seed);
-        let mut diag = vec![S::ZERO; width];
-        for t in 0..t_len {
-            for (k, (_, states, _, _)) in batch.iter().enumerate() {
-                diag[k * h_dim..(k + 1) * h_dim].copy_from_slice(states.a[t].as_slice());
-            }
-            chain.push(ScanElement::Sparse(Csr::from_pattern_and_values(
-                pattern.clone(),
-                diag.clone(),
-            )));
-        }
-        let result = PlannedScan::plan(&chain, opts).execute(&chain);
-        // Per-sample partials summed in batch order: the same association
-        // as summing per-sample backward passes, so the fused result is
-        // bit-for-bit with that sum (the linear kernel runs each fused
-        // lane through the identical expression tree).
-        let mut grads = SsmGrads::zeros(h_dim, self.num_classes());
-        for (k, (xs, states, _, g_logits)) in batch.iter().enumerate() {
-            let mut partial = SsmGrads::zeros(h_dim, self.num_classes());
-            self.accumulate_sample_grads(xs, states, g_logits, &result, k * h_dim, &mut partial);
-            grads.accumulate(&partial);
-        }
-        grads
+        let partials = engine.run(
+            method,
+            (t_len, h_dim),
+            batch.len(),
+            |blocks| self.chain_template(blocks, t_len),
+            |k, chain, block| Self::refresh_sample(batch[k].1, &batch[k].2, chain, block),
+            |k, result, block| {
+                let (xs, states, _, g_logits) = &batch[k];
+                let mut grads = SsmGrads::zeros(h_dim, self.num_classes());
+                self.accumulate_sample_grads(
+                    xs,
+                    states,
+                    g_logits,
+                    result,
+                    block * h_dim,
+                    &mut grads,
+                );
+                grads
+            },
+        )?;
+        Ok(sum_in_order(partials, SsmGrads::accumulate))
     }
 
-    /// Pooled batched BPPSA: one per-sample diagonal chain each, fanned
-    /// concurrently over the workspace pool through a single compiled plan
-    /// (which takes the elementwise fast path under the default
-    /// [`DiagonalMode::Auto`](bppsa_core::DiagonalMode)). Valid because the
-    /// optimizer consumes the batch sum; see
-    /// [`VanillaRnn::backward_bppsa_pooled`](crate::VanillaRnn::backward_bppsa_pooled).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch is empty or sequences have unequal lengths.
+    /// [`DiagonalSsm::backward_bppsa_batch`] on the per-sample route. Kept
+    /// only for the benchmark (`perfbench/`), which names it.
     pub fn backward_bppsa_pooled(
         &self,
         batch: &[SsmBatchSample<'_, S>],
         opts: BppsaOptions,
-        state: &mut PooledChainSet<S>,
+        engine: &mut BackwardEngine<S>,
     ) -> SsmGrads<S> {
-        assert!(!batch.is_empty(), "batched backward: empty batch");
-        let t_len = batch[0].1.len();
-        assert!(
-            batch
-                .iter()
-                .all(|(xs, states, _, _)| states.len() == t_len && xs.len() == t_len),
-            "batched backward: unequal sequence lengths"
-        );
-        let h_dim = self.hidden_size();
-        let (xs0, states0, seed0, _) = &batch[0];
-        debug_assert_eq!(xs0.len(), t_len);
-        state.ensure((t_len, h_dim), batch.len(), opts, || {
-            self.build_chain(states0, seed0)
-        });
-        // Refresh every sample's chain values in place (patterns fixed; a
-        // diagonal element's values *are* the gate vector).
-        for (k, chain) in state.chains_mut(batch.len()).iter_mut().enumerate() {
-            let (_, states, seed, _) = &batch[k];
-            chain
-                .seed_mut()
-                .as_mut_slice()
-                .copy_from_slice(seed.as_slice());
-            for (t, element) in chain.jacobians_mut().iter_mut().enumerate() {
-                let ScanElement::Sparse(m) = element else {
-                    unreachable!("pooled chain elements are CSR")
-                };
-                m.data_mut().copy_from_slice(states.a[t].as_slice());
-            }
-        }
-        let grads = std::sync::Mutex::new(SsmGrads::zeros(h_dim, self.num_classes()));
-        state.execute(batch.len(), &|k, result| {
-            let (xs, states, _, g_logits) = &batch[k];
-            let mut partial = SsmGrads::zeros(h_dim, self.num_classes());
-            self.accumulate_sample_grads(xs, states, g_logits, result, 0, &mut partial);
-            grads
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .accumulate(&partial);
-        });
-        grads
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Served batched BPPSA: per-sample diagonal chains submitted as
-    /// independent requests to the `bppsa-serve` front door, whose lane
-    /// warm-up plan compiles the same elementwise program — the serving
-    /// path is transparent to the fast path. See
-    /// [`VanillaRnn::backward_bppsa_served`](crate::VanillaRnn::backward_bppsa_served).
-    ///
-    /// # Errors
-    ///
-    /// [`ServedSubmitError`] when the front door refuses a request past the
-    /// service's retry budget; the chains are back at rest, so the batch
-    /// can be re-executed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch is empty or sequences have unequal lengths.
-    pub fn backward_bppsa_served(
-        &self,
-        batch: &[SsmBatchSample<'_, S>],
-        state: &mut ServedChainSet<S>,
-    ) -> Result<SsmGrads<S>, ServedSubmitError> {
-        assert!(!batch.is_empty(), "batched backward: empty batch");
-        let t_len = batch[0].1.len();
-        assert!(
-            batch
-                .iter()
-                .all(|(xs, states, _, _)| states.len() == t_len && xs.len() == t_len),
-            "batched backward: unequal sequence lengths"
-        );
-        let h_dim = self.hidden_size();
-        let (_, states0, seed0, _) = &batch[0];
-        state.ensure((t_len, h_dim), batch.len(), || {
-            self.build_chain(states0, seed0)
-        });
-        state.for_each_chain_mut(batch.len(), |k, chain| {
-            let (_, states, seed, _) = &batch[k];
-            chain
-                .seed_mut()
-                .as_mut_slice()
-                .copy_from_slice(seed.as_slice());
-            for (t, element) in chain.jacobians_mut().iter_mut().enumerate() {
-                let ScanElement::Sparse(m) = element else {
-                    unreachable!("served chain elements are CSR")
-                };
-                m.data_mut().copy_from_slice(states.a[t].as_slice());
-            }
-        });
-        // Sequential consumption in batch order, via per-sample partials:
-        // the sum associates exactly like summing per-sample backward
-        // passes, so the served result is bit-for-bit with that sum.
-        let mut grads = SsmGrads::zeros(h_dim, self.num_classes());
-        state.execute(batch.len(), &mut |k, result| {
-            let (xs, states, _, g_logits) = &batch[k];
-            let mut partial = SsmGrads::zeros(h_dim, self.num_classes());
-            self.accumulate_sample_grads(xs, states, g_logits, result, 0, &mut partial);
-            grads.accumulate(&partial);
-        })?;
-        Ok(grads)
+        let method = BackwardMethod::BppsaPooled { opts };
+        self.backward_bppsa_batch(batch, method, engine)
+            .expect("the per-sample route never refuses")
     }
 
     /// All parameters flattened (decay, gate, inject, `W_out`, `b_out`) —
@@ -595,7 +447,7 @@ impl<S: Scalar> DiagonalSsm<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bppsa_core::{DiagonalKernel, DiagonalMode};
+    use bppsa_core::{DiagonalKernel, DiagonalMode, PlannedScan};
     use bppsa_tensor::init::seeded_rng;
 
     fn sample_inputs(rng: &mut StdRng, t: usize) -> Vec<f64> {
@@ -716,7 +568,10 @@ mod tests {
             .map(|(xs, st, s, g)| (xs.as_slice(), st, s.clone(), g.clone()))
             .collect();
         // The 3·7-lane fused chain still plans to the elementwise program.
-        let fused = ssm.backward_bppsa_fused(&batch, BppsaOptions::serial());
+        let method = BackwardMethod::bppsa_fused_planned(BppsaOptions::serial());
+        let fused = ssm
+            .backward_bppsa_batch(&batch, method, &mut BackwardEngine::new())
+            .unwrap();
         // Reference: per-sample scans summed in batch order — the linear
         // kernel runs each fused lane through the identical expression
         // tree, so the match is bit-for-bit.
@@ -738,7 +593,8 @@ mod tests {
     fn pooled_and_served_batches_match_the_per_sample_sum() {
         let rng = &mut seeded_rng(5);
         let ssm = DiagonalSsm::<f64>::new(9, 4, rng);
-        let mut state = SsmTrainState::new();
+        let mut engine = BackwardEngine::new();
+        let pooled_route = BackwardMethod::bppsa_pooled_batched(BppsaOptions::serial());
         for round in 0..2 {
             let raw: Vec<RawSample> = (0..4)
                 .map(|k| {
@@ -762,32 +618,28 @@ mod tests {
             }
             let reference = reference.unwrap();
 
-            let pooled =
-                ssm.backward_bppsa_pooled(&batch, BppsaOptions::serial(), state.pooled_mut());
-            // Pooled sums stream in completion order — same addends,
-            // possibly reassociated.
+            let pooled = ssm
+                .backward_bppsa_batch(&batch, pooled_route, &mut engine)
+                .unwrap();
             let diff = pooled.max_abs_diff(&reference);
             assert!(diff < 1e-10, "round {round}: pooled diff {diff}");
+            // The per-sample plan took the fast path under the default
+            // options.
+            let plan = engine.plan().expect("planned");
+            assert!(plan.diagonal_kernel().is_some());
 
-            // Served consumption is sequential in batch order: bit-for-bit
-            // with the reference sum.
+            // Served partials are summed in batch order: bit-for-bit with
+            // the reference sum.
             let served = ssm
-                .backward_bppsa_served(&batch, state.served_mut())
+                .backward_bppsa_batch(&batch, BackwardMethod::bppsa_served(), &mut engine)
                 .expect("owned service accepts");
             for (a, b) in served.flat().iter().zip(&reference.flat()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "round {round}: {a:e} vs {b:e}");
             }
         }
-        // One shape, one plan, one lane — and the pooled plan took the
-        // fast path under the default options.
-        assert_eq!(state.pooled_plans_built(), 1);
-        assert_eq!(state.served_lanes_built(), 1);
-        assert!(state
-            .pooled()
-            .plan()
-            .expect("planned")
-            .diagonal_kernel()
-            .is_some());
+        // One shape, one plan, one lane.
+        assert_eq!(engine.plans_built(), 1);
+        assert_eq!(engine.lanes_built(), 1);
     }
 
     #[test]

@@ -5,15 +5,22 @@
 //! report backward-pass and overall speedups the way §5.1 does.
 
 use crate::datasets::{BitstreamDataset, SyntheticCifar};
+use crate::engine::{sum_in_order, BackwardEngine};
 use crate::optim::Optimizer;
-use crate::rnn::{FusedPlannedState, RnnGrads, VanillaRnn};
-use crate::ssm::{DiagonalSsm, SsmGrads, SsmTrainState};
+use crate::rnn::{RnnGrads, VanillaRnn};
+use crate::ssm::{DiagonalSsm, SsmGrads};
 use bppsa_core::{BppsaOptions, JacobianRepr, Network};
 use bppsa_ops::SoftmaxCrossEntropy;
-use bppsa_tensor::Scalar;
+use bppsa_tensor::{Scalar, Vector};
+use std::ops::Range;
 use std::time::Instant;
 
 /// Which backward path a training loop uses.
+///
+/// The last three variants are the batch routes of a [`BackwardEngine`],
+/// which recurrent loops run through their models' batch methods (e.g.
+/// [`VanillaRnn::backward_bppsa_batch`]). Feed-forward loops treat them as
+/// [`BackwardMethod::Bppsa`] with sparse Jacobians.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackwardMethod {
     /// Classic back-propagation (the PyTorch-Autograd/cuDNN baseline).
@@ -25,44 +32,29 @@ pub enum BackwardMethod {
         /// Jacobian representation.
         repr: JacobianRepr,
     },
-    /// Batched BPPSA for recurrent loops: the whole mini-batch enters a
-    /// single scan over block-diagonal Jacobians
-    /// ([`VanillaRnn::backward_bppsa_batched`]). Ignored (treated as
-    /// [`BackwardMethod::Bppsa`]) by feed-forward training loops.
-    BppsaFused {
-        /// Scan execution options.
-        opts: BppsaOptions,
-    },
-    /// Batched BPPSA through persistent [`FusedPlannedState`]: the fused
-    /// mini-batch scan is symbolically planned once per batch shape (§3.3
-    /// hoisting over the whole training run) and every iteration refreshes
-    /// the reused chain in place and re-executes the numeric-only program
-    /// over a reused, allocation-free workspace
-    /// ([`VanillaRnn::backward_bppsa_batched_planned`]). Ignored (treated
-    /// as [`BackwardMethod::Bppsa`]) by feed-forward training loops.
+    /// The engine's fused route: the whole mini-batch is one block-diagonal
+    /// (or wide-diagonal) chain, symbolically planned once per batch shape
+    /// (§3.3 hoisting over the whole training run); every iteration
+    /// refreshes the reused chain in place and re-executes the
+    /// numeric-only program over a reused, allocation-free workspace.
     BppsaFusedPlanned {
         /// Scan execution options.
         opts: BppsaOptions,
     },
-    /// Pooled batched BPPSA for recurrent loops: one **per-sample** chain
-    /// each, all executing a single compiled plan concurrently over a
-    /// workspace pool ([`VanillaRnn::backward_bppsa_pooled`]); per-sample
-    /// gradients are accumulated into the batch update. Valid because the
-    /// optimizer consumes the batch sum. Ignored (treated as
-    /// [`BackwardMethod::Bppsa`]) by feed-forward training loops.
+    /// The engine's per-sample route: one chain per sample, all executing
+    /// a single compiled plan concurrently over a workspace pool. The plan
+    /// is batch-size independent, so remainder batches reuse it.
     BppsaPooled {
-        /// Scan schedule options (the executor is always the batch
-        /// fan-out; `opts.up_levels` still selects full vs. hybrid).
+        /// Scan options; the plan keeps all but the executor and the
+        /// segment count, since the fan-out across samples is the
+        /// parallelism.
         opts: BppsaOptions,
     },
-    /// The pooled strategy routed through the `bppsa-serve` front door:
-    /// per-sample chains submitted as independent requests to a
-    /// [`BppsaService`](bppsa_serve::BppsaService) and coalesced by its
-    /// deadline micro-batcher ([`VanillaRnn::backward_bppsa_served`]) —
-    /// training traffic exercising exactly the serving path. The front door
-    /// always compiles the full serial-schedule plan per lane. Ignored
-    /// (treated as serial [`BackwardMethod::Bppsa`]) by feed-forward
-    /// training loops.
+    /// The engine's served route: per-sample chains submitted as
+    /// independent requests to a [`BppsaService`](bppsa_serve::BppsaService)
+    /// and coalesced by its deadline micro-batcher — training traffic
+    /// exercising exactly the serving path. The front door plans each lane
+    /// itself ([`lane_plan_options`](bppsa_serve::lane_plan_options)).
     BppsaServed,
 }
 
@@ -84,32 +76,27 @@ impl BackwardMethod {
         }
     }
 
-    /// Fused batched BPPSA (RNN loops only): one block-diagonal scan per
-    /// mini-batch instead of one scan per sample.
-    pub fn bppsa_fused(opts: BppsaOptions) -> Self {
-        BackwardMethod::BppsaFused { opts }
-    }
-
-    /// Fused batched BPPSA with plan-once/execute-many workspace reuse (RNN
-    /// loops only) — the steady-state fast path for training.
+    /// The fused route (recurrent loops only): one block-diagonal scan per
+    /// mini-batch, planned once per batch shape — the steady-state fast
+    /// path for training.
     pub fn bppsa_fused_planned(opts: BppsaOptions) -> Self {
         BackwardMethod::BppsaFusedPlanned { opts }
     }
 
-    /// Pooled batched BPPSA (RNN loops only): per-sample scans of one
+    /// The per-sample route (recurrent loops only): per-sample scans of one
     /// compiled plan, fanned concurrently over pooled workspaces.
     pub fn bppsa_pooled_batched(opts: BppsaOptions) -> Self {
         BackwardMethod::BppsaPooled { opts }
     }
 
-    /// Served batched BPPSA (RNN loops only): per-sample requests routed
+    /// The served route (recurrent loops only): per-sample requests routed
     /// through the `bppsa-serve` deadline micro-batching front door.
     pub fn bppsa_served() -> Self {
         BackwardMethod::BppsaServed
     }
 
-    /// Segment-parallel fused planned BPPSA for deep chains (RNN loops
-    /// only): the compiled plan is split into `k` exact segments executed
+    /// Segment-parallel fused BPPSA for deep chains (recurrent loops only):
+    /// the compiled plan is split into `k` exact segments executed
     /// concurrently on worker groups carved from the pool, stitched at
     /// schedule-block interfaces — bit-for-bit identical to the
     /// unsegmented plan.
@@ -176,6 +163,33 @@ impl TrainLog {
     }
 }
 
+/// Runs `step` on every batch of `batches` for `epochs` epochs, stopping
+/// after `max_iterations` steps if given, and logs each step. `step` trains
+/// on one batch and returns `(mean loss, backward seconds)`.
+fn train_loop(
+    batches: Vec<Range<usize>>,
+    epochs: usize,
+    max_iterations: Option<usize>,
+    mut step: impl FnMut(Range<usize>) -> (f64, f64),
+) -> TrainLog {
+    let mut log = TrainLog::default();
+    let start = Instant::now();
+    let ranges = (0..epochs).flat_map(|_| batches.iter().cloned());
+    for (iteration, range) in ranges
+        .take(max_iterations.unwrap_or(usize::MAX))
+        .enumerate()
+    {
+        let (loss, backward_s) = step(range);
+        log.records.push(IterationRecord {
+            iteration,
+            loss,
+            wall_s: start.elapsed().as_secs_f64(),
+            backward_s,
+        });
+    }
+    log
+}
+
 /// Runs one mini-batch step on a sequential network classifier: forward,
 /// softmax-CE loss, backward (per `method`), and gradient accumulation.
 /// Returns `(mean loss, per-layer param grads, backward seconds)`.
@@ -205,9 +219,7 @@ pub fn network_batch_step<S: Scalar>(
         let grads = match method {
             BackwardMethod::Bp => net.backward_bp(&tape, &seed),
             BackwardMethod::Bppsa { opts, repr } => net.backward_bppsa(&tape, &seed, repr, opts),
-            BackwardMethod::BppsaFused { opts }
-            | BackwardMethod::BppsaFusedPlanned { opts }
-            | BackwardMethod::BppsaPooled { opts } => {
+            BackwardMethod::BppsaFusedPlanned { opts } | BackwardMethod::BppsaPooled { opts } => {
                 net.backward_bppsa(&tape, &seed, JacobianRepr::Sparse, opts)
             }
             BackwardMethod::BppsaServed => {
@@ -242,46 +254,29 @@ pub fn train_network_classifier<S: Scalar>(
         net.num_layers(),
         "one optimizer per layer required"
     );
-    let mut log = TrainLog::default();
-    let start = Instant::now();
-    let mut iteration = 0usize;
-    'outer: for _epoch in 0..epochs {
-        for range in data.batches(batch_size).collect::<Vec<_>>() {
-            let batch: Vec<(&bppsa_tensor::Tensor<S>, usize)> = range
-                .clone()
-                .map(|i| {
-                    let s = data.sample(i);
-                    (&s.image, s.label)
-                })
-                .collect();
-            let (loss, grads, backward_s) = network_batch_step(net, &batch, method);
-            for ((op, opt), g) in net
-                .ops_mut()
-                .iter_mut()
-                .zip(optimizers.iter_mut())
-                .zip(&grads)
-            {
-                if op.param_len() > 0 {
-                    let mut params = op.params();
-                    opt.step(&mut params, g);
-                    op.set_params(&params);
-                }
-            }
-            log.records.push(IterationRecord {
-                iteration,
-                loss,
-                wall_s: start.elapsed().as_secs_f64(),
-                backward_s,
-            });
-            iteration += 1;
-            if let Some(max) = max_iterations {
-                if iteration >= max {
-                    break 'outer;
-                }
+    let batches = data.batches(batch_size).collect();
+    train_loop(batches, epochs, max_iterations, |range| {
+        let batch: Vec<(&bppsa_tensor::Tensor<S>, usize)> = range
+            .map(|i| {
+                let s = data.sample(i);
+                (&s.image, s.label)
+            })
+            .collect();
+        let (loss, grads, backward_s) = network_batch_step(net, &batch, method);
+        for ((op, opt), g) in net
+            .ops_mut()
+            .iter_mut()
+            .zip(optimizers.iter_mut())
+            .zip(&grads)
+        {
+            if op.param_len() > 0 {
+                let mut params = op.params();
+                opt.step(&mut params, g);
+                op.set_params(&params);
             }
         }
-    }
-    log
+        (loss, backward_s)
+    })
 }
 
 /// Classification accuracy of a network over a dataset.
@@ -297,120 +292,90 @@ pub fn evaluate_network<S: Scalar>(net: &Network<S>, data: &SyntheticCifar<S>) -
     correct as f64 / data.len() as f64
 }
 
+/// One prepared sample of a recurrent batch: `(inputs, states, seed,
+/// ∇logits)`, the seeds pre-scaled by `1/B`.
+type Prepared<'a, S, St> = (&'a [S], &'a St, Vector<S>, Vector<S>);
+
+/// One recurrent mini-batch step: forward and loss per sample (seeds and
+/// logit gradients pre-scaled by `1/B`, so the summed gradient is the batch
+/// mean), then the timed `backward` over the prepared batch. Returns
+/// `(mean loss, grads, backward seconds)`.
+fn recurrent_step<S: Scalar, St, G>(
+    data: &BitstreamDataset<S>,
+    indices: Range<usize>,
+    forward: impl Fn(&[S]) -> St,
+    loss_and_seed: impl Fn(&St, usize) -> (S, Vector<S>, Vector<S>),
+    backward: impl FnOnce(&[Prepared<'_, S, St>]) -> G,
+) -> (f64, G, f64) {
+    assert!(!indices.is_empty(), "empty batch");
+    let inv_b = S::ONE / S::from_usize(indices.len());
+    let forwards: Vec<_> = indices
+        .map(|i| {
+            let sample = data.sample(i);
+            (sample.bits.as_slice(), forward(&sample.bits), sample.label)
+        })
+        .collect();
+    let mut total_loss = S::ZERO;
+    let batch: Vec<Prepared<'_, S, St>> = forwards
+        .iter()
+        .map(|(xs, states, label)| {
+            let (loss, seed, g_logits) = loss_and_seed(states, *label);
+            total_loss += loss;
+            (*xs, states, seed.scaled(inv_b), g_logits.scaled(inv_b))
+        })
+        .collect();
+    let t0 = Instant::now();
+    let grads = backward(&batch);
+    let backward_s = t0.elapsed().as_secs_f64();
+    ((total_loss * inv_b).to_f64(), grads, backward_s)
+}
+
 /// Runs one RNN mini-batch step. Returns `(mean loss, summed grads,
 /// backward seconds)`; seeds are pre-scaled by `1/B` so the sum is the
 /// batch-mean gradient.
 ///
-/// For [`BackwardMethod::BppsaFusedPlanned`] the plan/workspace state lives
-/// only for this call; training loops should use
-/// [`rnn_batch_step_cached`] so the plan amortizes across iterations.
+/// [`BackwardMethod::Bp`] and [`BackwardMethod::Bppsa`] run per sample;
+/// the batch routes run on `engine`, which plans once per shape across the
+/// calls that share it. The training loop owns the engine's service, so a
+/// served refusal is fatal here.
 pub fn rnn_batch_step<S: Scalar>(
     rnn: &VanillaRnn<S>,
     data: &BitstreamDataset<S>,
-    indices: std::ops::Range<usize>,
+    indices: Range<usize>,
     method: BackwardMethod,
+    engine: &mut BackwardEngine<S>,
 ) -> (f64, RnnGrads<S>, f64) {
-    let mut state = FusedPlannedState::new();
-    rnn_batch_step_cached(rnn, data, indices, method, &mut state)
+    let forward = |xs: &[S]| rnn.forward(xs);
+    let loss = |states: &_, label| rnn.loss_and_seed(states, label);
+    recurrent_step(data, indices, forward, loss, |batch| match method {
+        BackwardMethod::Bp => sum_in_order(
+            batch
+                .iter()
+                .map(|(xs, st, seed, g)| rnn.backward_bptt(xs, st, seed, g)),
+            RnnGrads::accumulate,
+        ),
+        BackwardMethod::Bppsa { opts, .. } => sum_in_order(
+            batch
+                .iter()
+                .map(|(xs, st, seed, g)| rnn.backward_bppsa(xs, st, seed, g, opts)),
+            RnnGrads::accumulate,
+        ),
+        route => rnn
+            .backward_bppsa_batch(batch, route, engine)
+            .unwrap_or_else(|e| panic!("served training backward: {e}")),
+    })
 }
 
-/// [`rnn_batch_step`] with caller-owned [`FusedPlannedState`], so the
-/// fused-planned backward re-plans (and re-builds its chain) only when the
-/// mini-batch shape changes.
+/// [`rnn_batch_step`] under its former name. Kept only for the benchmark
+/// (`perfbench/`), which names it.
 pub fn rnn_batch_step_cached<S: Scalar>(
     rnn: &VanillaRnn<S>,
     data: &BitstreamDataset<S>,
-    indices: std::ops::Range<usize>,
+    indices: Range<usize>,
     method: BackwardMethod,
-    state: &mut FusedPlannedState<S>,
+    engine: &mut BackwardEngine<S>,
 ) -> (f64, RnnGrads<S>, f64) {
-    assert!(!indices.is_empty(), "empty batch");
-    let inv_b = S::ONE / S::from_usize(indices.len());
-    if matches!(
-        method,
-        BackwardMethod::BppsaFused { .. }
-            | BackwardMethod::BppsaFusedPlanned { .. }
-            | BackwardMethod::BppsaPooled { .. }
-            | BackwardMethod::BppsaServed
-    ) {
-        // One scan pass for the whole mini-batch: fused block-diagonal, or
-        // per-sample chains fanned over pooled workspaces.
-        let mut total_loss = S::ZERO;
-        let mut prepared = Vec::with_capacity(indices.len());
-        for i in indices {
-            let sample = data.sample(i);
-            let states = rnn.forward(&sample.bits);
-            let (loss, seed, g_logits) = rnn.loss_and_seed(&states, sample.label);
-            total_loss += loss;
-            prepared.push((
-                sample.bits.as_slice(),
-                states,
-                seed.scaled(inv_b),
-                g_logits.scaled(inv_b),
-            ));
-        }
-        let batch: Vec<crate::rnn::RnnBatchSample<'_, S>> = prepared
-            .iter()
-            .map(|(bits, states, seed, g)| (*bits, states, seed.clone(), g.clone()))
-            .collect();
-        let t0 = Instant::now();
-        let grads = match method {
-            BackwardMethod::BppsaFusedPlanned { opts } => {
-                rnn.backward_bppsa_batched_planned(&batch, opts, state)
-            }
-            BackwardMethod::BppsaPooled { opts } => {
-                rnn.backward_bppsa_pooled(&batch, opts, state.pooled_mut())
-            }
-            // The training loop owns its service (default config: no
-            // shedding, no breaker), so a sticky refusal here is fatal —
-            // but the typed error lets shared-service callers of the same
-            // API decide differently.
-            BackwardMethod::BppsaServed => rnn
-                .backward_bppsa_served(&batch, state.served_mut())
-                .unwrap_or_else(|e| panic!("served training backward: {e}")),
-            BackwardMethod::BppsaFused { opts } => rnn.backward_bppsa_batched(&batch, opts),
-            _ => unreachable!("guarded by the matches! above"),
-        };
-        let backward_s = t0.elapsed().as_secs_f64();
-        return ((total_loss * inv_b).to_f64(), grads, backward_s);
-    }
-    let mut total_loss = S::ZERO;
-    let mut accumulated: Option<RnnGrads<S>> = None;
-    let mut backward_s = 0.0;
-
-    for i in indices {
-        let sample = data.sample(i);
-        let states = rnn.forward(&sample.bits);
-        let (loss, seed, g_logits) = rnn.loss_and_seed(&states, sample.label);
-        total_loss += loss;
-        let seed = seed.scaled(inv_b);
-        let g_logits = g_logits.scaled(inv_b);
-
-        let t0 = Instant::now();
-        let grads = match method {
-            BackwardMethod::Bp => rnn.backward_bptt(&sample.bits, &states, &seed, &g_logits),
-            BackwardMethod::Bppsa { opts, .. } => {
-                rnn.backward_bppsa(&sample.bits, &states, &seed, &g_logits, opts)
-            }
-            BackwardMethod::BppsaFused { .. }
-            | BackwardMethod::BppsaFusedPlanned { .. }
-            | BackwardMethod::BppsaPooled { .. }
-            | BackwardMethod::BppsaServed => {
-                unreachable!("handled above")
-            }
-        };
-        backward_s += t0.elapsed().as_secs_f64();
-
-        match &mut accumulated {
-            None => accumulated = Some(grads),
-            Some(acc) => acc.accumulate(&grads),
-        }
-    }
-    (
-        (total_loss * inv_b).to_f64(),
-        accumulated.expect("nonempty batch"),
-        backward_s,
-    )
+    rnn_batch_step(rnn, data, indices, method, engine)
 }
 
 /// Trains the RNN on the bitstream task with a flat-parameter optimizer
@@ -424,34 +389,17 @@ pub fn train_rnn<S: Scalar>(
     epochs: usize,
     max_iterations: Option<usize>,
 ) -> TrainLog {
-    let mut log = TrainLog::default();
-    let start = Instant::now();
-    let mut iteration = 0usize;
-    // One chain/plan/workspace state for the whole run: the fused-planned
-    // path performs its symbolic work once per mini-batch shape.
-    let mut state = FusedPlannedState::new();
-    'outer: for _epoch in 0..epochs {
-        for range in data.batches(batch_size).collect::<Vec<_>>() {
-            let (loss, grads, backward_s) =
-                rnn_batch_step_cached(rnn, data, range, method, &mut state);
-            let mut params = rnn.params();
-            optimizer.step(&mut params, &grads.flat());
-            rnn.set_params(&params);
-            log.records.push(IterationRecord {
-                iteration,
-                loss,
-                wall_s: start.elapsed().as_secs_f64(),
-                backward_s,
-            });
-            iteration += 1;
-            if let Some(max) = max_iterations {
-                if iteration >= max {
-                    break 'outer;
-                }
-            }
-        }
-    }
-    log
+    // One engine for the whole run: the batch routes do their symbolic
+    // work once per shape.
+    let mut engine = BackwardEngine::new();
+    let batches = data.batches(batch_size).collect();
+    train_loop(batches, epochs, max_iterations, |range| {
+        let (loss, grads, backward_s) = rnn_batch_step(rnn, data, range, method, &mut engine);
+        let mut params = rnn.params();
+        optimizer.step(&mut params, &grads.flat());
+        rnn.set_params(&params);
+        (loss, backward_s)
+    })
 }
 
 /// Classification accuracy of the RNN over a dataset.
@@ -468,102 +416,38 @@ pub fn evaluate_rnn<S: Scalar>(rnn: &VanillaRnn<S>, data: &BitstreamDataset<S>) 
     correct as f64 / data.len() as f64
 }
 
-/// Runs one [`DiagonalSsm`] mini-batch step on the bitstream task.
-/// Returns `(mean loss, summed grads, backward seconds)`; seeds are
-/// pre-scaled by `1/B` so the sum is the batch-mean gradient.
-///
-/// Dispatch mirrors [`rnn_batch_step_cached`], with the SSM twist that
-/// *every* path rides the planner's diagonal fast path:
-///
-/// * [`BackwardMethod::Bp`] → [`DiagonalSsm::backward_sequential`];
-/// * [`BackwardMethod::Bppsa`] → per-sample [`DiagonalSsm::backward_bppsa`];
-/// * [`BackwardMethod::BppsaFused`] / [`BackwardMethod::BppsaFusedPlanned`]
-///   → [`DiagonalSsm::backward_bppsa_fused`] (a block-diagonal of
-///   diagonals is a wider diagonal, so the fused chain plans elementwise
-///   too; diagonal plans are cheap enough to rebuild per call, so both
-///   variants share one implementation);
-/// * [`BackwardMethod::BppsaPooled`] → [`DiagonalSsm::backward_bppsa_pooled`];
-/// * [`BackwardMethod::BppsaServed`] → [`DiagonalSsm::backward_bppsa_served`]
-///   (the loop owns its service, so a sticky refusal is fatal here).
+/// Runs one [`DiagonalSsm`] mini-batch step on the bitstream task, like
+/// [`rnn_batch_step`]: [`BackwardMethod::Bp`] runs
+/// [`DiagonalSsm::backward_sequential`] and [`BackwardMethod::Bppsa`]
+/// [`DiagonalSsm::backward_bppsa`] per sample; the batch routes run
+/// [`DiagonalSsm::backward_bppsa_batch`] on `engine`, where every route
+/// rides the planner's diagonal fast path.
 pub fn ssm_batch_step<S: Scalar>(
     ssm: &DiagonalSsm<S>,
     data: &BitstreamDataset<S>,
-    indices: std::ops::Range<usize>,
+    indices: Range<usize>,
     method: BackwardMethod,
-    state: &mut SsmTrainState<S>,
+    engine: &mut BackwardEngine<S>,
 ) -> (f64, SsmGrads<S>, f64) {
-    assert!(!indices.is_empty(), "empty batch");
-    let inv_b = S::ONE / S::from_usize(indices.len());
-    if matches!(
-        method,
-        BackwardMethod::BppsaFused { .. }
-            | BackwardMethod::BppsaFusedPlanned { .. }
-            | BackwardMethod::BppsaPooled { .. }
-            | BackwardMethod::BppsaServed
-    ) {
-        let mut total_loss = S::ZERO;
-        let mut prepared = Vec::with_capacity(indices.len());
-        for i in indices {
-            let sample = data.sample(i);
-            let states = ssm.forward(&sample.bits);
-            let (loss, seed, g_logits) = ssm.loss_and_seed(&states, sample.label);
-            total_loss += loss;
-            prepared.push((
-                sample.bits.as_slice(),
-                states,
-                seed.scaled(inv_b),
-                g_logits.scaled(inv_b),
-            ));
-        }
-        let batch: Vec<crate::ssm::SsmBatchSample<'_, S>> = prepared
-            .iter()
-            .map(|(xs, states, seed, g)| (*xs, states, seed.clone(), g.clone()))
-            .collect();
-        let t0 = Instant::now();
-        let grads = match method {
-            BackwardMethod::BppsaFused { opts } | BackwardMethod::BppsaFusedPlanned { opts } => {
-                ssm.backward_bppsa_fused(&batch, opts)
-            }
-            BackwardMethod::BppsaPooled { opts } => {
-                ssm.backward_bppsa_pooled(&batch, opts, state.pooled_mut())
-            }
-            BackwardMethod::BppsaServed => ssm
-                .backward_bppsa_served(&batch, state.served_mut())
-                .unwrap_or_else(|e| panic!("served SSM training backward: {e}")),
-            _ => unreachable!("guarded by the matches! above"),
-        };
-        let backward_s = t0.elapsed().as_secs_f64();
-        return ((total_loss * inv_b).to_f64(), grads, backward_s);
-    }
-    let mut total_loss = S::ZERO;
-    let mut accumulated: Option<SsmGrads<S>> = None;
-    let mut backward_s = 0.0;
-    for i in indices {
-        let sample = data.sample(i);
-        let states = ssm.forward(&sample.bits);
-        let (loss, seed, g_logits) = ssm.loss_and_seed(&states, sample.label);
-        total_loss += loss;
-        let seed = seed.scaled(inv_b);
-        let g_logits = g_logits.scaled(inv_b);
-        let t0 = Instant::now();
-        let grads = match method {
-            BackwardMethod::Bp => ssm.backward_sequential(&sample.bits, &states, &seed, &g_logits),
-            BackwardMethod::Bppsa { opts, .. } => {
-                ssm.backward_bppsa(&sample.bits, &states, &seed, &g_logits, opts)
-            }
-            _ => unreachable!("handled above"),
-        };
-        backward_s += t0.elapsed().as_secs_f64();
-        match &mut accumulated {
-            None => accumulated = Some(grads),
-            Some(acc) => acc.accumulate(&grads),
-        }
-    }
-    (
-        (total_loss * inv_b).to_f64(),
-        accumulated.expect("nonempty batch"),
-        backward_s,
-    )
+    let forward = |xs: &[S]| ssm.forward(xs);
+    let loss = |states: &_, label| ssm.loss_and_seed(states, label);
+    recurrent_step(data, indices, forward, loss, |batch| match method {
+        BackwardMethod::Bp => sum_in_order(
+            batch
+                .iter()
+                .map(|(xs, st, seed, g)| ssm.backward_sequential(xs, st, seed, g)),
+            SsmGrads::accumulate,
+        ),
+        BackwardMethod::Bppsa { opts, .. } => sum_in_order(
+            batch
+                .iter()
+                .map(|(xs, st, seed, g)| ssm.backward_bppsa(xs, st, seed, g, opts)),
+            SsmGrads::accumulate,
+        ),
+        route => ssm
+            .backward_bppsa_batch(batch, route, engine)
+            .unwrap_or_else(|e| panic!("served SSM training backward: {e}")),
+    })
 }
 
 /// Trains the SSM on the bitstream task with a flat-parameter optimizer,
@@ -578,31 +462,15 @@ pub fn train_ssm<S: Scalar>(
     epochs: usize,
     max_iterations: Option<usize>,
 ) -> TrainLog {
-    let mut log = TrainLog::default();
-    let start = Instant::now();
-    let mut iteration = 0usize;
-    let mut state = SsmTrainState::new();
-    'outer: for _epoch in 0..epochs {
-        for range in data.batches(batch_size).collect::<Vec<_>>() {
-            let (loss, grads, backward_s) = ssm_batch_step(ssm, data, range, method, &mut state);
-            let mut params = ssm.params();
-            optimizer.step(&mut params, &grads.flat());
-            ssm.set_params(&params);
-            log.records.push(IterationRecord {
-                iteration,
-                loss,
-                wall_s: start.elapsed().as_secs_f64(),
-                backward_s,
-            });
-            iteration += 1;
-            if let Some(max) = max_iterations {
-                if iteration >= max {
-                    break 'outer;
-                }
-            }
-        }
-    }
-    log
+    let mut engine = BackwardEngine::new();
+    let batches = data.batches(batch_size).collect();
+    train_loop(batches, epochs, max_iterations, |range| {
+        let (loss, grads, backward_s) = ssm_batch_step(ssm, data, range, method, &mut engine);
+        let mut params = ssm.params();
+        optimizer.step(&mut params, &grads.flat());
+        ssm.set_params(&params);
+        (loss, backward_s)
+    })
 }
 
 /// Seeds an optimizer per network layer (helper for
@@ -685,21 +553,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_batched_scan_training_matches_bptt() {
-        // One block-diagonal scan per mini-batch reproduces the per-sample
-        // trajectory exactly.
-        let data = BitstreamDataset::<f32>::generate(24, 12, 61);
-        let run = |method: BackwardMethod| {
-            let mut rnn = VanillaRnn::<f32>::new(1, 6, 10, &mut seeded_rng(62));
-            let mut opt = Adam::new(0.005);
-            train_rnn(&mut rnn, &data, &mut opt, method, 6, 4, None)
-        };
-        let bptt = run(BackwardMethod::Bp);
-        let fused = run(BackwardMethod::bppsa_fused(BppsaOptions::serial()));
-        assert!(bptt.max_loss_gap(&fused) < 1e-3);
-    }
-
-    #[test]
     fn fused_planned_training_matches_bptt_and_plans_once() {
         // The workspace-backed steady-state path (Fig. 9 shape): identical
         // trajectory to BPTT, with the symbolic phase hoisted out of the
@@ -716,9 +569,9 @@ mod tests {
 
         // And the plan really is built once across a steady-shape run.
         let rnn = VanillaRnn::<f32>::new(1, 6, 10, &mut seeded_rng(79));
-        let mut state = FusedPlannedState::<f32>::new();
+        let mut state = BackwardEngine::<f32>::new();
         for _ in 0..3 {
-            let _ = rnn_batch_step_cached(
+            let _ = rnn_batch_step(
                 &rnn,
                 &data,
                 0..6,
@@ -767,14 +620,14 @@ mod tests {
         assert!(bptt.max_loss_gap(&pooled) < 1e-3);
 
         let rnn = VanillaRnn::<f32>::new(1, 6, 10, &mut seeded_rng(93));
-        let mut state = FusedPlannedState::<f32>::new();
+        let mut state = BackwardEngine::<f32>::new();
         let method = BackwardMethod::bppsa_pooled_batched(BppsaOptions::serial());
         for _epoch in 0..3 {
             for range in data.batches(6).collect::<Vec<_>>() {
-                let _ = rnn_batch_step_cached(&rnn, &data, range, method, &mut state);
+                let _ = rnn_batch_step(&rnn, &data, range, method, &mut state);
             }
         }
-        assert_eq!(state.pooled_plans_built(), 1);
+        assert_eq!(state.plans_built(), 1);
     }
 
     #[test]
@@ -796,10 +649,10 @@ mod tests {
         assert!(bptt.max_loss_gap(&served) < 1e-3);
 
         let rnn = VanillaRnn::<f32>::new(1, 6, 10, &mut seeded_rng(97));
-        let mut state = FusedPlannedState::<f32>::new();
+        let mut state = BackwardEngine::<f32>::new();
         for _epoch in 0..3 {
             for range in data.batches(6).collect::<Vec<_>>() {
-                let _ = rnn_batch_step_cached(
+                let _ = rnn_batch_step(
                     &rnn,
                     &data,
                     range,
@@ -808,7 +661,7 @@ mod tests {
                 );
             }
         }
-        assert_eq!(state.served_lanes_built(), 1);
+        assert_eq!(state.lanes_built(), 1);
     }
 
     #[test]
@@ -818,16 +671,16 @@ mod tests {
         // served step reproduces the pooled step's gradients to fp noise.
         let data = BitstreamDataset::<f32>::generate(12, 10, 98);
         let rnn = VanillaRnn::<f32>::new(1, 6, 10, &mut seeded_rng(99));
-        let mut pooled_state = FusedPlannedState::<f32>::new();
-        let mut served_state = FusedPlannedState::<f32>::new();
-        let (pooled_loss, pooled_grads, _) = rnn_batch_step_cached(
+        let mut pooled_state = BackwardEngine::<f32>::new();
+        let mut served_state = BackwardEngine::<f32>::new();
+        let (pooled_loss, pooled_grads, _) = rnn_batch_step(
             &rnn,
             &data,
             0..6,
             BackwardMethod::bppsa_pooled_batched(BppsaOptions::serial()),
             &mut pooled_state,
         );
-        let (served_loss, served_grads, _) = rnn_batch_step_cached(
+        let (served_loss, served_grads, _) = rnn_batch_step(
             &rnn,
             &data,
             0..6,
@@ -866,7 +719,7 @@ mod tests {
         let sequential = run(BackwardMethod::Bp);
         for method in [
             BackwardMethod::bppsa_threaded(2),
-            BackwardMethod::bppsa_fused(BppsaOptions::serial()),
+            BackwardMethod::bppsa_fused_planned(BppsaOptions::serial()),
             BackwardMethod::bppsa_pooled_batched(BppsaOptions::serial()),
             BackwardMethod::bppsa_served(),
         ] {
@@ -887,7 +740,7 @@ mod tests {
             BackwardMethod::bppsa_pooled_batched(BppsaOptions::serial()),
             BackwardMethod::bppsa_served(),
         ] {
-            let mut state = SsmTrainState::<f32>::new();
+            let mut state = BackwardEngine::<f32>::new();
             for _epoch in 0..3 {
                 for range in data.batches(6).collect::<Vec<_>>() {
                     let _ = ssm_batch_step(&ssm, &data, range, method, &mut state);
@@ -895,15 +748,11 @@ mod tests {
             }
             match method {
                 BackwardMethod::BppsaPooled { .. } => {
-                    assert_eq!(state.pooled_plans_built(), 1);
-                    assert!(state
-                        .pooled()
-                        .plan()
-                        .expect("planned")
-                        .diagonal_kernel()
-                        .is_some());
+                    assert_eq!(state.plans_built(), 1);
+                    let plan = state.plan().expect("planned");
+                    assert!(plan.diagonal_kernel().is_some());
                 }
-                _ => assert_eq!(state.served_lanes_built(), 1),
+                _ => assert_eq!(state.lanes_built(), 1),
             }
         }
     }
@@ -915,11 +764,11 @@ mod tests {
         // re-planning across epochs.
         let data = BitstreamDataset::<f32>::generate(20, 10, 81);
         let rnn = VanillaRnn::<f32>::new(1, 5, 10, &mut seeded_rng(82));
-        let mut state = FusedPlannedState::<f32>::new();
+        let mut state = BackwardEngine::<f32>::new();
         let method = BackwardMethod::bppsa_fused_planned(BppsaOptions::serial());
         for _epoch in 0..3 {
             for range in data.batches(6).collect::<Vec<_>>() {
-                let _ = rnn_batch_step_cached(&rnn, &data, range, method, &mut state);
+                let _ = rnn_batch_step(&rnn, &data, range, method, &mut state);
             }
         }
         assert_eq!(state.plans_built(), 2);

@@ -47,25 +47,28 @@
 //! is the compiler, [`ScanWorkspace`](core::ScanWorkspace) the reusable buffers,
 //! and the per-iteration [`PlannedScan::execute_with`](core::PlannedScan::execute_with)
 //! performs **zero heap allocations** in the steady state (asserted by a
-//! counting-allocator test). [`PlannedBackwardCache`](core::PlannedBackwardCache)
-//! packages the lifecycle for training loops; for *concurrent* mini-batches
-//! of the same compiled plan, [`WorkspacePool`](core::WorkspacePool) and
-//! [`BatchedBackward`](core::BatchedBackward) add the pooled scale-out layer
-//! (see `ARCHITECTURE.md`):
+//! counting-allocator test). For *concurrent* mini-batches of the same
+//! compiled plan, [`WorkspacePool`](core::WorkspacePool) and
+//! [`BatchedBackward`](core::BatchedBackward) add the pooled scale-out
+//! layer, and [`BackwardEngine`](models::BackwardEngine) runs the models'
+//! mini-batches on it (see `ARCHITECTURE.md`):
 //!
 //! ```
 //! use bppsa::prelude::*;
 //! use bppsa::sparse::Csr;
 //!
-//! let mut cache = PlannedBackwardCache::<f64>::new();
-//! for step in 0..4 {
+//! let chain_at = |step: usize| {
 //!     // Every iteration: same patterns, fresh values.
 //!     let mut chain = JacobianChain::new(Vector::from_vec(vec![1.0, step as f64]));
 //!     chain.push(ScanElement::Sparse(Csr::from_diagonal(&[0.5, 1.0 + step as f64])));
-//!     let grads = cache.backward(&chain, BppsaOptions::serial());
+//!     chain
+//! };
+//! let plan = PlannedScan::plan(&chain_at(0), BppsaOptions::serial()); // symbolic work, once
+//! let mut workspace = plan.workspace::<f64>(); // every buffer, once
+//! for step in 0..4 {
+//!     let grads = plan.execute_with(&chain_at(step), &mut workspace); // numeric only
 //!     assert_eq!(grads.grads().len(), 1);
 //! }
-//! assert_eq!(cache.plans_built(), 1); // symbolic work ran exactly once
 //! ```
 
 #![warn(missing_docs)]
@@ -84,8 +87,8 @@ pub use bppsa_tensor as tensor;
 pub mod prelude {
     pub use bppsa_core::{
         bppsa_backward, linear_backward, BackwardResult, BatchedBackward, BppsaOptions, Gradients,
-        JacobianChain, JacobianRepr, JacobianScanOp, Network, PlannedBackwardCache, PlannedScan,
-        ScanElement, ScanWorkspace, Tape, WorkspacePool,
+        JacobianChain, JacobianRepr, JacobianScanOp, Network, PlannedScan, ScanElement,
+        ScanWorkspace, Tape, WorkspacePool,
     };
     pub use bppsa_models::{
         lenet5, lenet_tiny, vgg11, vgg11_convs, Adam, BitstreamDataset, Gru, Optimizer, RnnGrads,
