@@ -77,7 +77,7 @@ pub use planned::{
 // The numeric-kernel selection surface travels with `BppsaOptions::kernel`,
 // so consumers of the planned API don't need a direct `bppsa-sparse` dep.
 pub use bppsa_sparse::{KernelMode, NumericKernel};
-pub use pool::{BatchedBackward, PooledWorkspace, WorkspacePool};
+pub use pool::{map_indexed, BatchedBackward, PooledWorkspace, WorkspacePool};
 pub use segmented::{balanced_cuts, segments_from_cuts, SegmentedPlan};
 
 #[cfg(test)]

@@ -20,6 +20,12 @@
 //!   callback before checkin. After [`BatchedBackward::prewarm`], the
 //!   steady state performs **zero heap allocations** end to end (asserted
 //!   by `crates/core/tests/alloc_free.rs`).
+//!   [`BatchedBackward::refresh_and_execute`] also hands task `i` chain `i`
+//!   to refresh in place before it scans, so per-chain preparation runs in
+//!   the fan-out instead of ahead of it.
+//! * [`map_indexed`] — the same worker pool for work that is not a scan:
+//!   runs one task per index and returns the results in index order (the
+//!   models layer forwards a mini-batch's samples with it).
 //!
 //! ```
 //! use bppsa_core::{BatchedBackward, BppsaOptions, JacobianChain, PlannedScan, ScanElement};
@@ -49,7 +55,7 @@ use crate::backward::BackwardResult;
 use crate::budget::MemoryBudget;
 use crate::chain::JacobianChain;
 use crate::planned::{PlannedScan, ScanWorkspace};
-use bppsa_scan::{global_pool, Slot};
+use bppsa_scan::{global_pool, SendPtr, Slot};
 use bppsa_tensor::Scalar;
 use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, Condvar, Mutex};
@@ -379,7 +385,10 @@ impl<S: Scalar> Drop for PooledWorkspace<'_, S> {
 ///
 /// [`BatchedBackward::execute_collect`] is the convenience entry point;
 /// per-result streaming without the collection allocation goes through
-/// [`BatchedBackward::execute`]:
+/// [`BatchedBackward::execute`]. [`BatchedBackward::refresh_and_execute`]
+/// streams the same way but lets task `i` refresh chain `i` in place before
+/// scanning it, so the per-chain refresh runs inside the fan-out (the
+/// models' `BackwardEngine` trains through it):
 ///
 /// ```
 /// # use bppsa_core::{BatchedBackward, BppsaOptions, JacobianChain, PlannedScan, ScanElement};
@@ -488,6 +497,42 @@ impl<S: Scalar> BatchedBackward<S> {
         });
     }
 
+    /// [`BatchedBackward::execute`] over chains that each task prepares
+    /// itself: task `i` runs `refresh(i, &mut chains[i])` (an in-place value
+    /// refresh that must keep the chain matching the plan), then scans chain
+    /// `i` on a pooled workspace and streams the result to `consume(i,
+    /// result)`. Refreshing inside the fan-out keeps that per-chain work off
+    /// the calling thread. Allocation-free in the same steady state as
+    /// [`BatchedBackward::execute`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a refreshed chain does not match the plan, or if `refresh`
+    /// or `consume` panics.
+    pub fn refresh_and_execute(
+        &self,
+        chains: &mut [JacobianChain<S>],
+        refresh: &(dyn Fn(usize, &mut JacobianChain<S>) + Sync),
+        consume: &(dyn Fn(usize, &BackwardResult<S>) + Sync),
+    ) {
+        let plan = self.pool.plan();
+        let base = SendPtr(chains.as_mut_ptr());
+        global_pool().run_indexed(chains.len(), &|i| {
+            // Rebind the whole SendPtr so the closure captures it, not its
+            // raw-pointer field.
+            let base: SendPtr<JacobianChain<S>> = base;
+            // SAFETY: `i < chains.len()`, run_indexed hands each index to
+            // exactly one task, and its barrier ends every task before the
+            // `&mut` borrow of `chains` does, so this is chain `i`'s only
+            // reference while it lives.
+            let chain = unsafe { &mut *base.0.add(i) };
+            refresh(i, chain);
+            let mut ws = self.pool.checkout();
+            let result = plan.execute_with(chain, &mut ws);
+            consume(i, result);
+        });
+    }
+
     /// Convenience wrapper collecting every result (clones each out of its
     /// workspace — allocating; hot paths should stream via
     /// [`BatchedBackward::execute`] into pre-sized buffers instead).
@@ -511,6 +556,40 @@ impl<S: Scalar> BatchedBackward<S> {
             })
             .collect()
     }
+}
+
+/// Runs `task(i)` for every `i` in `0..count` across the shared scan worker
+/// pool (and the calling thread) and returns the results in index order.
+///
+/// The tasks run concurrently in no fixed order, so anything order-sensitive
+/// (a floating-point sum, say) belongs to the caller, over the returned
+/// vector.
+///
+/// # Examples
+///
+/// ```
+/// let squares = bppsa_core::map_indexed(5, &|i| i * i);
+/// assert_eq!(squares, [0, 1, 4, 9, 16]);
+/// ```
+///
+/// # Panics
+///
+/// Panics if any task panicked.
+pub fn map_indexed<T: Send>(count: usize, task: &(dyn Fn(usize) -> T + Sync)) -> Vec<T> {
+    let slots: Vec<Slot<T>> = (0..count).map(|_| Slot::new()).collect();
+    global_pool().run_indexed(count, &|i| {
+        // SAFETY: run_indexed hands index `i` to exactly one task, making
+        // this slot i's unique accessor; its barrier orders the set before
+        // the takes below.
+        unsafe { slots[i].set(task(i)) };
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            // SAFETY: single-threaded after the barrier.
+            unsafe { slot.take() }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -627,6 +706,42 @@ mod tests {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
+    fn refresh_and_execute_scans_each_chain_after_its_refresh() {
+        let template = sparse_chain(10, 8, 12);
+        let fresh: Vec<JacobianChain<f64>> = (0..7).map(|k| revalue(&template, 300 + k)).collect();
+        let plan = Arc::new(PlannedScan::plan(&template, BppsaOptions::serial()));
+        let batched = BatchedBackward::with_capacity(Arc::clone(&plan), 3);
+        let expected = batched.execute_collect(&fresh);
+        // Stale values in every slot; each task must write its own chain's.
+        let mut chains: Vec<JacobianChain<f64>> = fresh.iter().map(|_| template.clone()).collect();
+        let slots: Vec<Slot<BackwardResult<f64>>> = chains.iter().map(|_| Slot::new()).collect();
+        batched.refresh_and_execute(
+            &mut chains,
+            &|i, chain| *chain = fresh[i].clone(),
+            // SAFETY: each index is consumed exactly once, and the fan-out
+            // barrier orders the sets before the takes below.
+            &|i, result| unsafe { slots[i].set(result.clone()) },
+        );
+        for (i, slot) in slots.into_iter().enumerate() {
+            // SAFETY: single-threaded after the barrier.
+            let got = unsafe { slot.take() };
+            assert_eq!(got.max_abs_diff(&expected[i]), 0.0, "chain {i}");
+        }
+        for (chain, want) in chains.iter().zip(&fresh) {
+            assert_eq!(chain.seed().as_slice(), want.seed().as_slice());
+        }
+    }
+
+    #[test]
+    fn map_indexed_returns_results_in_index_order() {
+        let out = map_indexed(100, &|i| vec![i; i % 3]);
+        for (i, v) in out.iter().enumerate() {
+            assert_eq!(v, &vec![i; i % 3]);
+        }
+        assert!(map_indexed(0, &|i| i).is_empty());
     }
 
     #[test]

@@ -22,10 +22,14 @@
 //! in place, and turn block `b` of a result into sample `k`'s gradient
 //! partial. Chains and executors live in one [`Mru`] keyed by route, the
 //! caller's shape key and the plan-relevant options, so a steady-state
-//! iteration only refreshes values and executes. Partials are computed
-//! inside the fan-out and summed in sample order after it
-//! ([`sum_in_order`]), so every route returns the same bits. The sum is
-//! valid because the paper's optimizers consume the batch sum (§2.2).
+//! iteration only refreshes values and executes. On the fused and
+//! per-sample routes, fan-out task `i` refreshes chain `i` and then scans it
+//! ([`BatchedBackward::refresh_and_execute`]), so the refresh runs on the
+//! worker pool too; the served route refreshes every chain before it
+//! submits. Partials are computed inside the fan-out and summed in sample
+//! order after it ([`sum_in_order`]), so every route returns the same bits.
+//! The sum is valid because the paper's optimizers consume the batch sum
+//! (§2.2).
 
 use crate::served::ServedSubmitError;
 use crate::train::BackwardMethod;
@@ -34,7 +38,7 @@ use bppsa_core::{
 };
 use bppsa_serve::{BppsaService, ServeConfig, Ticket};
 use bppsa_sparse::Csr;
-use bppsa_tensor::{Scalar, Vector};
+use bppsa_tensor::{Matrix, Scalar, Vector};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -134,7 +138,7 @@ impl<S: Scalar> BackwardEngine<S> {
         key: (usize, usize),
         samples: usize,
         build: impl FnOnce(usize) -> JacobianChain<S>,
-        refresh: impl Fn(usize, &mut JacobianChain<S>, usize),
+        refresh: impl Fn(usize, &mut JacobianChain<S>, usize) + Sync,
         partial: impl Fn(usize, &BackwardResult<S>, usize) -> P + Sync,
     ) -> Result<Vec<P>, ServedSubmitError> {
         let slots: Vec<OnceLock<P>> = (0..samples).map(|_| OnceLock::new()).collect();
@@ -159,7 +163,10 @@ impl<S: Scalar> BackwardEngine<S> {
     /// On a miss, `build(blocks)` makes the template chain for `blocks`
     /// samples (the batch on the fused route, one otherwise); its values
     /// are never read. Every call then runs `refresh(k, chain, block)` to
-    /// write sample `k`'s values into block `block` of `chain`.
+    /// write sample `k`'s values into block `block` of `chain`: on the fused
+    /// and per-sample routes inside the fan-out, by the task that then scans
+    /// that chain, and on the served route on the calling thread before the
+    /// chains are submitted.
     ///
     /// # Errors
     ///
@@ -179,7 +186,7 @@ impl<S: Scalar> BackwardEngine<S> {
         key: (usize, usize),
         samples: usize,
         build: impl FnOnce(usize) -> JacobianChain<S>,
-        refresh: impl Fn(usize, &mut JacobianChain<S>, usize),
+        refresh: impl Fn(usize, &mut JacobianChain<S>, usize) + Sync,
         consume: &(dyn Fn(usize, &BackwardResult<S>, usize) + Sync),
     ) -> Result<(), ServedSubmitError> {
         assert!(samples > 0, "batched backward: empty batch");
@@ -234,17 +241,17 @@ impl<S: Scalar> BackwardEngine<S> {
             entry.chains.push(clone);
         }
         let chains = &mut entry.chains[..count];
-        for (i, chain) in chains.iter_mut().enumerate() {
+        let refresh_chain = |i: usize, chain: &mut JacobianChain<S>| {
             for block in 0..blocks {
                 refresh(i * blocks + block, chain, block);
             }
-        }
+        };
         match &mut entry.exec {
             Exec::Batched(batched) => {
                 // Prewarm on growth too, so a larger batch of a known shape
                 // stays allocation-free from its second call on.
                 batched.prewarm(count);
-                batched.execute(chains, &|i, result| {
+                batched.refresh_and_execute(chains, &refresh_chain, &|i, result| {
                     for block in 0..blocks {
                         consume(i * blocks + block, result, block);
                     }
@@ -252,6 +259,9 @@ impl<S: Scalar> BackwardEngine<S> {
                 Ok(())
             }
             Exec::Served(tickets) => {
+                for (i, chain) in chains.iter_mut().enumerate() {
+                    refresh_chain(i, chain);
+                }
                 tickets.resize_with(tickets.len().max(count), Ticket::new);
                 let service = service.get_or_insert_with(|| {
                     BppsaService::new(ServeConfig {
@@ -358,6 +368,21 @@ pub(crate) fn sum_in_order<P>(
         add(&mut sum, &partial);
     }
     sum
+}
+
+/// `m += u·vᵀ` in place: the bits of `m.axpy(1, &u.outer(v))` without the
+/// temporary matrix.
+///
+/// # Panics
+///
+/// Panics if `m` is not `u.len() × v.len()`.
+pub(crate) fn add_outer<S: Scalar>(m: &mut Matrix<S>, u: &[S], v: &[S]) {
+    assert_eq!(m.shape(), (u.len(), v.len()), "add_outer: shape mismatch");
+    for (row, &ui) in m.as_mut_slice().chunks_exact_mut(v.len()).zip(u) {
+        for (r, &vj) in row.iter_mut().zip(v) {
+            *r += ui * vj;
+        }
+    }
 }
 
 /// The common sequence length of a batch's samples.

@@ -15,7 +15,9 @@
 //! [`BackwardEngine`](crate::BackwardEngine) with
 //! [`VanillaRnn::backward_bppsa_batch`].
 
-use crate::engine::{block_template, common_len, refresh_block, sum_in_order, BackwardEngine};
+use crate::engine::{
+    add_outer, block_template, common_len, refresh_block, sum_in_order, BackwardEngine,
+};
 use crate::served::ServedSubmitError;
 use crate::train::BackwardMethod;
 use bppsa_core::{bppsa_backward, BppsaOptions, JacobianChain, ScanElement};
@@ -169,15 +171,14 @@ impl<S: Scalar> VanillaRnn<S> {
         assert_eq!(self.input_dim, 1, "forward: scalar-input model expected");
         assert!(!bits.is_empty(), "forward: empty sequence");
         let h_dim = self.hidden_size();
-        let mut states = Vec::with_capacity(bits.len());
-        let mut h = Vector::zeros(h_dim);
+        let mut states: RnnStates<S> = Vec::with_capacity(bits.len());
+        let h_init = Vector::zeros(h_dim);
         for &x in bits {
-            let mut z = self.whh.matvec(&h);
+            let mut z = self.whh.matvec(states.last().unwrap_or(&h_init));
             for i in 0..h_dim {
                 z[i] += self.wih.get(i, 0) * x + self.bih[i] + self.bhh[i];
             }
-            h = z.map(|v| v.tanh());
-            states.push(h.clone());
+            states.push(z.map(|v| v.tanh()));
         }
         states
     }
@@ -211,22 +212,13 @@ impl<S: Scalar> VanillaRnn<S> {
         grads.d_bout = g_logits.clone();
 
         let mut g_h = seed.clone();
+        let mut g_z = Vector::zeros(h_dim);
         for t in (0..states.len()).rev() {
-            let h_t = &states[t];
-            // g_z = (1 − h²) ⊙ g_h.
-            let g_z = Vector::from_fn(h_dim, |i| (S::ONE - h_t[i] * h_t[i]) * g_h[i]);
-            for i in 0..h_dim {
-                let v = grads.d_wih.get(i, 0) + g_z[i] * bits[t];
-                grads.d_wih.set(i, 0, v);
-            }
-            grads.d_bih.axpy(S::ONE, &g_z);
-            grads.d_bhh.axpy(S::ONE, &g_z);
+            self.accumulate_step(t, bits[t], states, g_h.as_slice(), &mut g_z, &mut grads);
+            // t == 0: h_{−1} = 0, so no further gradient propagates.
             if t > 0 {
-                grads.d_whh.axpy(S::ONE, &g_z.outer(&states[t - 1]));
                 g_h = self.whh.matvec_transposed(&g_z);
             }
-            // t == 0: h_{−1} = 0, so the ∇W_hh term vanishes and no further
-            // gradient propagates.
         }
         grads
     }
@@ -250,9 +242,11 @@ impl<S: Scalar> VanillaRnn<S> {
     pub fn fill_hidden_jacobian_values(&self, h_t: &Vector<S>, out: &mut [S]) {
         let h_dim = self.hidden_size();
         assert_eq!(out.len(), h_dim * h_dim, "fill_hidden_jacobian_values");
-        for i in 0..h_dim {
-            for (j, o) in out[i * h_dim..(i + 1) * h_dim].iter_mut().enumerate() {
-                *o = self.whh.get(j, i) * (S::ONE - h_t[j] * h_t[j]);
+        // Column j of the output is row j of W_hh scaled by 1 − h_t[j]².
+        for j in 0..h_dim {
+            let d = S::ONE - h_t[j] * h_t[j];
+            for (i, &w) in self.whh.row(j).iter().enumerate() {
+                out[i * h_dim + j] = w * d;
             }
         }
     }
@@ -287,19 +281,10 @@ impl<S: Scalar> VanillaRnn<S> {
         let mut grads = RnnGrads::zeros(self.input_dim, h_dim, self.num_classes());
         grads.d_wout = g_logits.outer(states.last().expect("nonempty"));
         grads.d_bout = g_logits.clone();
-        for t in 0..states.len() {
-            let h_t = &states[t];
-            let g_h = result.grad_x(t + 1);
-            let g_z = Vector::from_fn(h_dim, |i| (S::ONE - h_t[i] * h_t[i]) * g_h[i]);
-            for i in 0..h_dim {
-                let v = grads.d_wih.get(i, 0) + g_z[i] * bits[t];
-                grads.d_wih.set(i, 0, v);
-            }
-            grads.d_bih.axpy(S::ONE, &g_z);
-            grads.d_bhh.axpy(S::ONE, &g_z);
-            if t > 0 {
-                grads.d_whh.axpy(S::ONE, &g_z.outer(&states[t - 1]));
-            }
+        let mut g_z = Vector::zeros(h_dim);
+        for (t, &x) in bits.iter().enumerate() {
+            let g_h = result.grad_x(t + 1).as_slice();
+            self.accumulate_step(t, x, states, g_h, &mut g_z, &mut grads);
         }
         grads
     }
@@ -488,6 +473,36 @@ impl<S: Scalar> VanillaRnn<S> {
         });
     }
 
+    /// Equation 2 at timestep `t`, in place: writes `g_z = (1 − h_t²) ⊙
+    /// ∇h_t` into `g_z`, then adds `g_z·x_t` to `∇W_ih`, `g_z` to `∇b_ih`
+    /// and `∇b_hh`, and `g_z·h_{t−1}ᵀ` to `∇W_hh` (no term at `t = 0`, where
+    /// `h_{−1} = 0`). Every path (BPTT, the per-sample scan and the batch
+    /// partials) accumulates through this one step, so they share its
+    /// rounding, and it allocates nothing.
+    fn accumulate_step(
+        &self,
+        t: usize,
+        x: S,
+        states: &RnnStates<S>,
+        g_h: &[S],
+        g_z: &mut Vector<S>,
+        grads: &mut RnnGrads<S>,
+    ) {
+        let h_t = &states[t];
+        for (i, z) in g_z.as_mut_slice().iter_mut().enumerate() {
+            *z = (S::ONE - h_t[i] * h_t[i]) * g_h[i];
+        }
+        for (i, &z) in g_z.as_slice().iter().enumerate() {
+            let v = grads.d_wih.get(i, 0) + z * x;
+            grads.d_wih.set(i, 0, v);
+        }
+        grads.d_bih.axpy(S::ONE, g_z);
+        grads.d_bhh.axpy(S::ONE, g_z);
+        if t > 0 {
+            add_outer(&mut grads.d_whh, g_z.as_slice(), states[t - 1].as_slice());
+        }
+    }
+
     /// Adds one sample's parameter gradients (Equation 2) into `grads`,
     /// reading `∇h_t` from block `block` of `result`'s (possibly
     /// concatenated) per-timestep gradients — block `k` of a fused
@@ -502,23 +517,14 @@ impl<S: Scalar> VanillaRnn<S> {
         grads: &mut RnnGrads<S>,
     ) {
         let h_dim = self.hidden_size();
-        grads
-            .d_wout
-            .axpy(S::ONE, &g_logits.outer(states.last().expect("nonempty")));
+        let last = states.last().expect("nonempty");
+        add_outer(&mut grads.d_wout, g_logits.as_slice(), last.as_slice());
         grads.d_bout.axpy(S::ONE, g_logits);
-        for (t, h_t) in states.iter().enumerate() {
+        let mut g_z = Vector::zeros(h_dim);
+        for (t, &x) in bits.iter().enumerate() {
             let g_all = result.grad_x(t + 1);
             let g_h = &g_all.as_slice()[block * h_dim..(block + 1) * h_dim];
-            let g_z = Vector::from_fn(h_dim, |i| (S::ONE - h_t[i] * h_t[i]) * g_h[i]);
-            for i in 0..h_dim {
-                let v = grads.d_wih.get(i, 0) + g_z[i] * bits[t];
-                grads.d_wih.set(i, 0, v);
-            }
-            grads.d_bih.axpy(S::ONE, &g_z);
-            grads.d_bhh.axpy(S::ONE, &g_z);
-            if t > 0 {
-                grads.d_whh.axpy(S::ONE, &g_z.outer(&states[t - 1]));
-            }
+            self.accumulate_step(t, x, states, g_h, &mut g_z, grads);
         }
     }
 

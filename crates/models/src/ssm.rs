@@ -22,7 +22,9 @@
 //! Training routes through [`BackwardMethod`] via
 //! [`ssm_batch_step`](crate::train::ssm_batch_step).
 
-use crate::engine::{block_template, common_len, refresh_block, sum_in_order, BackwardEngine};
+use crate::engine::{
+    add_outer, block_template, common_len, refresh_block, sum_in_order, BackwardEngine,
+};
 use crate::served::ServedSubmitError;
 use crate::train::BackwardMethod;
 use bppsa_core::{bppsa_backward, BackwardResult, BppsaOptions, JacobianChain};
@@ -59,23 +61,47 @@ pub struct DiagonalSsm<S> {
 /// The recorded trajectory of one forward pass: hidden states
 /// `h_0 … h_{T−1}` and the gates `a_0 … a_{T−1}` that produced them (the
 /// gates *are* the Jacobian diagonals, so backward needs both).
+///
+/// Each is one flat `T × hidden` buffer, row `t` holding timestep `t`, so a
+/// forward pass makes two allocations however long the sequence is.
 #[derive(Debug, Clone)]
 pub struct SsmStates<S> {
-    /// Hidden states `h_t` (with `h_{−1} = 0`).
-    pub h: Vec<Vector<S>>,
-    /// Gates `a_t = tanh(λ + g·x_t)` — the diagonal of `(∂h_t/∂h_{t−1})ᵀ`.
-    pub a: Vec<Vector<S>>,
+    steps: usize,
+    hidden: usize,
+    /// Hidden states `h_t` (with `h_{−1} = 0`), row-major by timestep.
+    h: Vec<S>,
+    /// Gates `a_t = tanh(λ + g·x_t)` — the diagonal of `(∂h_t/∂h_{t−1})ᵀ` —
+    /// row-major by timestep.
+    a: Vec<S>,
 }
 
 impl<S> SsmStates<S> {
     /// Sequence length `T`.
     pub fn len(&self) -> usize {
-        self.h.len()
+        self.steps
     }
 
     /// Whether the trajectory is empty.
     pub fn is_empty(&self) -> bool {
-        self.h.is_empty()
+        self.steps == 0
+    }
+
+    /// The hidden state `h_t`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t >= len()`.
+    pub fn h(&self, t: usize) -> &[S] {
+        &self.h[t * self.hidden..(t + 1) * self.hidden]
+    }
+
+    /// The gate vector `a_t`, the diagonal of `(∂h_t/∂h_{t−1})ᵀ`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t >= len()`.
+    pub fn a(&self, t: usize) -> &[S] {
+        &self.a[t * self.hidden..(t + 1) * self.hidden]
     }
 
     /// The last hidden state `h_{T−1}`.
@@ -83,8 +109,9 @@ impl<S> SsmStates<S> {
     /// # Panics
     ///
     /// Panics on an empty trajectory.
-    pub fn last_h(&self) -> &Vector<S> {
-        self.h.last().expect("nonempty trajectory")
+    pub fn last_h(&self) -> &[S] {
+        let last = self.steps.checked_sub(1).expect("nonempty trajectory");
+        self.h(last)
     }
 }
 
@@ -187,18 +214,23 @@ impl<S: Scalar> DiagonalSsm<S> {
     pub fn forward(&self, xs: &[S]) -> SsmStates<S> {
         assert!(!xs.is_empty(), "forward: empty sequence");
         let h_dim = self.hidden_size();
-        let mut states = SsmStates {
-            h: Vec::with_capacity(xs.len()),
-            a: Vec::with_capacity(xs.len()),
-        };
-        let mut h = Vector::zeros(h_dim);
-        for &x in xs {
-            let a = self.gates(x);
-            h = Vector::from_fn(h_dim, |i| a[i] * h[i] + self.inject[i] * x);
-            states.a.push(a);
-            states.h.push(h.clone());
+        let mut a = Vec::with_capacity(xs.len() * h_dim);
+        let mut h = Vec::with_capacity(xs.len() * h_dim);
+        for (t, &x) in xs.iter().enumerate() {
+            for i in 0..h_dim {
+                // The gate is `gates(x)[i]`, and `h_{−1} = 0`.
+                let a_i = (self.decay[i] + self.gate[i] * x).tanh();
+                let h_prev = if t == 0 { S::ZERO } else { h[h.len() - h_dim] };
+                a.push(a_i);
+                h.push(a_i * h_prev + self.inject[i] * x);
+            }
         }
-        states
+        SsmStates {
+            steps: xs.len(),
+            hidden: h_dim,
+            h,
+            a,
+        }
     }
 
     /// Readout logits from the last hidden state.
@@ -208,8 +240,8 @@ impl<S: Scalar> DiagonalSsm<S> {
 
     /// Loss, the scan seed `∇h_{T−1}`, and the logits gradient for `label`.
     pub fn loss_and_seed(&self, states: &SsmStates<S>, label: usize) -> (S, Vector<S>, Vector<S>) {
-        let (loss, g_logits) =
-            SoftmaxCrossEntropy::loss_and_grad(&self.logits(states.last_h()), label);
+        let last_h = Vector::from_vec(states.last_h().to_vec());
+        let (loss, g_logits) = SoftmaxCrossEntropy::loss_and_grad(&self.logits(&last_h), label);
         let seed = self.wout.matvec_transposed(&g_logits);
         (loss, seed, g_logits)
     }
@@ -239,7 +271,7 @@ impl<S: Scalar> DiagonalSsm<S> {
         block: usize,
     ) {
         refresh_block(chain, block, seed.as_slice(), |t, values| {
-            values.copy_from_slice(states.a[t].as_slice())
+            values.copy_from_slice(states.a(t))
         });
     }
 
@@ -262,7 +294,7 @@ impl<S: Scalar> DiagonalSsm<S> {
             grads.d_inject[i] += g * x;
         }
         if t > 0 {
-            let (a_t, h_prev) = (&states.a[t], &states.h[t - 1]);
+            let (a_t, h_prev) = (states.a(t), states.h(t - 1));
             for (i, &g) in g_h.iter().enumerate() {
                 let dz = g * h_prev[i] * (S::ONE - a_t[i] * a_t[i]);
                 grads.d_decay[i] += dz;
@@ -283,7 +315,7 @@ impl<S: Scalar> DiagonalSsm<S> {
         grads: &mut SsmGrads<S>,
     ) {
         let h_dim = self.hidden_size();
-        grads.d_wout.axpy(S::ONE, &g_logits.outer(states.last_h()));
+        add_outer(&mut grads.d_wout, g_logits.as_slice(), states.last_h());
         grads.d_bout.axpy(S::ONE, g_logits);
         for (t, &x) in xs.iter().enumerate() {
             // grads()[i] = ∇x_{i+1} where x_{i+1} = h_i → ∇h_t = grad_x(t+1).
@@ -309,13 +341,14 @@ impl<S: Scalar> DiagonalSsm<S> {
         assert_eq!(xs.len(), states.len(), "sequential: states/input mismatch");
         let h_dim = self.hidden_size();
         let mut grads = SsmGrads::zeros(h_dim, self.num_classes());
-        grads.d_wout = g_logits.outer(states.last_h());
+        let last_h = states.last_h();
+        grads.d_wout = Matrix::from_fn(g_logits.len(), h_dim, |i, j| g_logits[i] * last_h[j]);
         grads.d_bout = g_logits.clone();
         let mut g_h = seed.clone();
         for t in (0..states.len()).rev() {
             self.accumulate_step(t, xs[t], states, g_h.as_slice(), &mut grads);
             if t > 0 {
-                let a_t = &states.a[t];
+                let a_t = states.a(t);
                 for i in 0..h_dim {
                     g_h[i] = a_t[i] * g_h[i];
                 }
@@ -466,9 +499,11 @@ mod tests {
         let states = ssm.forward(&xs);
         assert_eq!(states.len(), 17);
         assert!(!states.is_empty());
-        for (a, &x) in states.a.iter().zip(&xs) {
+        for (t, &x) in xs.iter().enumerate() {
+            let a = states.a(t);
             assert_eq!(a.len(), 6);
-            for (i, &g) in a.as_slice().iter().enumerate() {
+            assert_eq!(states.h(t).len(), 6);
+            for (i, &g) in a.iter().enumerate() {
                 assert!(g.abs() < 1.0, "tanh gate out of range");
                 assert_eq!(g, ssm.gates(x)[i]);
             }

@@ -9,7 +9,7 @@ use crate::engine::{sum_in_order, BackwardEngine};
 use crate::optim::Optimizer;
 use crate::rnn::{RnnGrads, VanillaRnn};
 use crate::ssm::{DiagonalSsm, SsmGrads};
-use bppsa_core::{BppsaOptions, JacobianRepr, Network};
+use bppsa_core::{map_indexed, BppsaOptions, JacobianRepr, Network};
 use bppsa_ops::SoftmaxCrossEntropy;
 use bppsa_tensor::{Scalar, Vector};
 use std::ops::Range;
@@ -300,29 +300,37 @@ type Prepared<'a, S, St> = (&'a [S], &'a St, Vector<S>, Vector<S>);
 /// logit gradients pre-scaled by `1/B`, so the summed gradient is the batch
 /// mean), then the timed `backward` over the prepared batch. Returns
 /// `(mean loss, grads, backward seconds)`.
-fn recurrent_step<S: Scalar, St, G>(
+///
+/// Each sample's forward and loss run as one task on the shared worker pool
+/// ([`map_indexed`]); the losses are then summed in sample order on the
+/// calling thread, so the step's bits do not depend on the scheduling.
+fn recurrent_step<S: Scalar, St: Send, G>(
     data: &BitstreamDataset<S>,
     indices: Range<usize>,
-    forward: impl Fn(&[S]) -> St,
-    loss_and_seed: impl Fn(&St, usize) -> (S, Vector<S>, Vector<S>),
+    forward: impl Fn(&[S]) -> St + Sync,
+    loss_and_seed: impl Fn(&St, usize) -> (S, Vector<S>, Vector<S>) + Sync,
     backward: impl FnOnce(&[Prepared<'_, S, St>]) -> G,
 ) -> (f64, G, f64) {
     assert!(!indices.is_empty(), "empty batch");
     let inv_b = S::ONE / S::from_usize(indices.len());
-    let forwards: Vec<_> = indices
-        .map(|i| {
-            let sample = data.sample(i);
-            (sample.bits.as_slice(), forward(&sample.bits), sample.label)
-        })
-        .collect();
+    let forwards = map_indexed(indices.len(), &|k| {
+        let sample = data.sample(indices.start + k);
+        let states = forward(&sample.bits);
+        let (loss, seed, g_logits) = loss_and_seed(&states, sample.label);
+        (loss, states, seed.scaled(inv_b), g_logits.scaled(inv_b))
+    });
     let mut total_loss = S::ZERO;
-    let batch: Vec<Prepared<'_, S, St>> = forwards
-        .iter()
-        .map(|(xs, states, label)| {
-            let (loss, seed, g_logits) = loss_and_seed(states, *label);
-            total_loss += loss;
-            (*xs, states, seed.scaled(inv_b), g_logits.scaled(inv_b))
-        })
+    let mut states = Vec::with_capacity(forwards.len());
+    let mut seeds = Vec::with_capacity(forwards.len());
+    for (loss, st, seed, g_logits) in forwards {
+        total_loss += loss;
+        states.push(st);
+        seeds.push((seed, g_logits));
+    }
+    let batch: Vec<Prepared<'_, S, St>> = indices
+        .zip(&states)
+        .zip(seeds)
+        .map(|((i, st), (seed, g_logits))| (data.sample(i).bits.as_slice(), st, seed, g_logits))
         .collect();
     let t0 = Instant::now();
     let grads = backward(&batch);
@@ -666,9 +674,9 @@ mod tests {
 
     #[test]
     fn served_and_pooled_batch_steps_agree() {
-        // Same per-sample plans, same summation order (sequential consume
-        // vs locked accumulate — both in index order on this data): the
-        // served step reproduces the pooled step's gradients to fp noise.
+        // Same per-sample plans, and both routes sum the per-sample
+        // partials in sample order after the fan-out: the served step
+        // reproduces the per-sample step's gradients bit for bit.
         let data = BitstreamDataset::<f32>::generate(12, 10, 98);
         let rnn = VanillaRnn::<f32>::new(1, 6, 10, &mut seeded_rng(99));
         let mut pooled_state = BackwardEngine::<f32>::new();
@@ -687,8 +695,9 @@ mod tests {
             BackwardMethod::bppsa_served(),
             &mut served_state,
         );
-        assert_eq!(pooled_loss, served_loss);
-        assert!(pooled_grads.max_abs_diff(&served_grads) < 1e-5);
+        assert_eq!(pooled_loss.to_bits(), served_loss.to_bits());
+        let bits = |g: &RnnGrads<f32>| g.flat().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&pooled_grads), bits(&served_grads));
     }
 
     #[test]

@@ -2,7 +2,10 @@
 //! warm-up, a [`BackwardEngine`] scan (in-place chain refresh + planned
 //! scan) must be allocation-free on both the fused route and the
 //! per-sample route — not just the scan kernels, but the per-iteration
-//! chain handling and the fan-out too.
+//! chain handling and the fan-out too. The model's Equation 2 accumulation
+//! around it must not allocate per timestep: a per-sample-route
+//! [`VanillaRnn::backward_bppsa_batch`] call makes as many allocations at
+//! `T = 48` as at `T = 24`.
 //!
 //! Single `#[test]` so no concurrent test thread pollutes the process-wide
 //! counters.
@@ -42,6 +45,37 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// Allocations of one steady-state per-sample-route
+/// [`VanillaRnn::backward_bppsa_batch`] call on `t_len`-step sequences.
+fn batch_backward_allocations(rnn: &VanillaRnn<f64>, t_len: usize) -> u64 {
+    let data = BitstreamDataset::<f64>::generate(6, t_len, 5);
+    let owned: Vec<_> = (0..6)
+        .map(|i| {
+            let sample = data.sample(i);
+            let states = rnn.forward(&sample.bits);
+            let (_, seed, g_logits) = rnn.loss_and_seed(&states, sample.label);
+            (sample.bits.clone(), states, seed, g_logits)
+        })
+        .collect();
+    let batch: Vec<RnnBatchSample<'_, f64>> = owned
+        .iter()
+        .map(|(bits, states, seed, g)| (bits.as_slice(), states, seed.clone(), g.clone()))
+        .collect();
+    let method = BackwardMethod::bppsa_pooled_batched(BppsaOptions::serial());
+    let mut engine = BackwardEngine::<f64>::new();
+    for _ in 0..2 {
+        rnn.backward_bppsa_batch(&batch, method, &mut engine)
+            .unwrap();
+    }
+    ALLOCS.store(0, Ordering::SeqCst);
+    TRACKING.store(true, Ordering::SeqCst);
+    let grads = rnn.backward_bppsa_batch(&batch, method, &mut engine);
+    TRACKING.store(false, Ordering::SeqCst);
+    let allocs = ALLOCS.load(Ordering::SeqCst);
+    grads.unwrap();
+    allocs
+}
 
 #[test]
 fn steady_state_engine_scan_is_allocation_free() {
@@ -108,4 +142,15 @@ fn steady_state_engine_scan_is_allocation_free() {
         assert_eq!(counted, reference, "{method:?}");
     }
     assert_eq!(engine.plans_built(), 2);
+
+    // The partials allocate their gradient sets, per sample, but nothing
+    // per timestep.
+    let (short, long) = (
+        batch_backward_allocations(&rnn, 24),
+        batch_backward_allocations(&rnn, 48),
+    );
+    assert_eq!(
+        short, long,
+        "per-sample-route backward_bppsa_batch allocates per timestep"
+    );
 }

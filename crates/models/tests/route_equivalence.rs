@@ -7,10 +7,12 @@
 //!
 //! Served lanes at or above [`LANE_SEGMENT_MIN_LAYERS`] plan a segmented
 //! schedule of their own, so the served route is compared only below it.
+//! A training step forwards its samples concurrently on the worker pool;
+//! its loss and gradients must equal a serial forward's bit for bit.
 //! CI also runs this suite under `RUST_TEST_THREADS=1`.
 
 use bppsa_core::{BppsaOptions, DiagonalKernel, KernelMode};
-use bppsa_models::train::BackwardMethod;
+use bppsa_models::train::{rnn_batch_step, ssm_batch_step, BackwardMethod};
 use bppsa_models::{
     BackwardEngine, BitstreamDataset, DiagonalSsm, RnnBatchSample, SsmBatchSample, VanillaRnn,
 };
@@ -184,4 +186,72 @@ fn per_sample_route_plans_with_every_plan_option() {
         counts.gather < counts.total(),
         "Auto picks a faster kernel: {counts:?}"
     );
+}
+
+/// A batch step's mean loss and gradient bits, computed serially from the
+/// models' public pieces: `forward` and `loss_and_seed` per sample in
+/// order, seeds scaled by `1/B`, then `backward` over the batch.
+fn serial_step<St, G>(
+    data: &BitstreamDataset<f32>,
+    forward: impl Fn(&[f32]) -> St,
+    loss_and_seed: impl Fn(&St, usize) -> (f32, Vector<f32>, Vector<f32>),
+    backward: impl FnOnce(&[(&[f32], &St, Vector<f32>, Vector<f32>)]) -> G,
+) -> (f64, G) {
+    let inv_b = 1.0 / data.len() as f32;
+    let states: Vec<St> = (0..data.len())
+        .map(|i| forward(&data.sample(i).bits))
+        .collect();
+    let mut total_loss = 0.0_f32;
+    let batch: Vec<_> = states
+        .iter()
+        .enumerate()
+        .map(|(i, st)| {
+            let s = data.sample(i);
+            let (loss, seed, g_logits) = loss_and_seed(st, s.label);
+            total_loss += loss;
+            (
+                s.bits.as_slice(),
+                st,
+                seed.scaled(inv_b),
+                g_logits.scaled(inv_b),
+            )
+        })
+        .collect();
+    (f64::from(total_loss * inv_b), backward(&batch))
+}
+
+#[test]
+fn batch_steps_match_a_serial_forward_bit_for_bit() {
+    let route = BackwardMethod::bppsa_pooled_batched(BppsaOptions::serial());
+    let data = BitstreamDataset::<f32>::generate(6, 48, 51);
+
+    let rnn = VanillaRnn::<f32>::new(1, 12, 10, &mut seeded_rng(52));
+    let (loss, grads, _) = rnn_batch_step(&rnn, &data, 0..6, route, &mut BackwardEngine::new());
+    let (want_loss, want) = serial_step(
+        &data,
+        |xs| rnn.forward(xs),
+        |st, label| rnn.loss_and_seed(st, label),
+        |batch| {
+            rnn.backward_bppsa_batch(batch, route, &mut BackwardEngine::new())
+                .unwrap()
+        },
+    );
+    assert_eq!(loss.to_bits(), want_loss.to_bits(), "RNN loss");
+    let differ = mismatches(&to_bits(&grads.flat()), &to_bits(&want.flat()));
+    assert_eq!(differ, 0, "RNN step: {differ} gradient values differ");
+
+    let ssm = DiagonalSsm::<f32>::new(16, 10, &mut seeded_rng(53));
+    let (loss, grads, _) = ssm_batch_step(&ssm, &data, 0..6, route, &mut BackwardEngine::new());
+    let (want_loss, want) = serial_step(
+        &data,
+        |xs| ssm.forward(xs),
+        |st, label| ssm.loss_and_seed(st, label),
+        |batch| {
+            ssm.backward_bppsa_batch(batch, route, &mut BackwardEngine::new())
+                .unwrap()
+        },
+    );
+    assert_eq!(loss.to_bits(), want_loss.to_bits(), "SSM loss");
+    let differ = mismatches(&to_bits(&grads.flat()), &to_bits(&want.flat()));
+    assert_eq!(differ, 0, "SSM step: {differ} gradient values differ");
 }

@@ -149,6 +149,10 @@ struct Shared {
     epoch: Mutex<u64>,
     work_cv: Condvar,
     shutdown: AtomicBool,
+    /// Workers that have entered [`worker_loop`]; [`WorkerPool::new`] waits
+    /// for all of them, so no thread start-up runs after it returns.
+    started: Mutex<usize>,
+    started_cv: Condvar,
 }
 
 /// Claims and runs indices of batch `generation` in `header` until none
@@ -216,7 +220,9 @@ pub struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawns a pool with `threads` workers (clamped to at least 1).
+    /// Spawns a pool with `threads` workers (clamped to at least 1) and
+    /// returns once every worker is running, so a worker's start-up
+    /// allocations never land in a later fan-out.
     pub fn new(threads: usize) -> Self {
         let size = threads.max(1);
         // Enough headers for a segment fan-out publishing nested row-chunk
@@ -228,6 +234,8 @@ impl WorkerPool {
             epoch: Mutex::new(0),
             work_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
+            started: Mutex::new(0),
+            started_cv: Condvar::new(),
         });
         let workers = (0..size)
             .map(|i| {
@@ -238,6 +246,11 @@ impl WorkerPool {
                     .expect("spawn scan worker")
             })
             .collect();
+        let mut started = shared.started.lock();
+        while *started < size {
+            shared.started_cv.wait(&mut started);
+        }
+        drop(started);
         Self {
             shared,
             workers,
@@ -592,6 +605,8 @@ impl<T> std::fmt::Debug for Slot<T> {
 }
 
 fn worker_loop(shared: &Shared, worker_index: usize) {
+    *shared.started.lock() += 1;
+    shared.started_cv.notify_all();
     let mut seen_epoch = 0u64;
     loop {
         {
@@ -690,6 +705,14 @@ mod tests {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
+    fn new_returns_once_every_worker_runs() {
+        for size in [1, 3] {
+            let pool = WorkerPool::new(size);
+            assert_eq!(*pool.shared.started.lock(), size);
+        }
     }
 
     #[test]
