@@ -1,41 +1,32 @@
 //! Criterion bench — `serve_overload`: the cost and precision of the
-//! overload-robustness layer under sustained pressure.
+//! feasibility gate under sustained pressure.
 //!
-//! * `shed_precision/deadline_us_*` — one persistent lane whose every flush
-//!   carries a seeded 500 µs stall, so the EWMA flush estimator stays
-//!   trained at ~stall scale across the whole run. Each iteration drives a
-//!   wave of `submit_with_delay` calls at one of two deadline classes: a
-//!   200 µs budget the trained estimator must refuse whenever the queue is
-//!   non-empty (the refusal path is the measured cost — a cheap synchronous
-//!   `Infeasible` with the chain handed back), and a 20 ms budget that
-//!   always clears the prediction (the admit path). The realized refusal
-//!   precision per class — infeasible refusals over attempts, from the
-//!   service's own counters — prints once per config: the doomed class
-//!   should shed heavily, the feasible class not at all.
-//! * `brownout_cycle/delay_us_*` — a persistent service with single-poll
-//!   brownout hysteresis on a fast supervision cadence. Each iteration is
-//!   one full degradation round trip: flood the lane with non-blocking
-//!   submits until depth-shedding drives the level down to
-//!   `DeclineColdShapes`, drain, then idle until the supervisor walks the
-//!   level back to `Normal`. The measured time is the end-to-end
-//!   detect → degrade → recover latency as the traffic's deadline class
-//!   varies the flush pacing underneath.
+//! `shed_precision/deadline_us_*` — one persistent lane whose every flush
+//! carries a seeded 500 µs stall, so the EWMA flush estimator stays
+//! trained at ~stall scale across the whole run. Each iteration drives a
+//! wave of `submit_with_delay` calls at one of two deadline classes: a
+//! 200 µs budget the trained estimator must refuse whenever the queue is
+//! non-empty (the refusal path is the measured cost — a cheap synchronous
+//! `Infeasible` with the chain handed back), and a 20 ms budget that
+//! always clears the prediction (the admit path). The realized refusal
+//! precision per class — infeasible refusals over attempts, from the
+//! service's own counters — prints once per config: the doomed class
+//! should shed heavily, the feasible class not at all.
 //!
-//! Both scenarios record `available_parallelism` via the shim criterion's
-//! environment record; on a 1-core container the cycle times are dominated
-//! by supervisor poll cadence, not execution overlap.
+//! The scenario records `available_parallelism` via the shim criterion's
+//! environment record.
 
 use bppsa_bench::random_csr;
 use bppsa_core::{JacobianChain, ScanElement};
 use bppsa_serve::{
-    BppsaService, BrownoutLevel, BrownoutPolicy, FaultInjector, FaultRates, FeasibilityPolicy,
-    ServeConfig, ShedPolicy, SubmitError, Ticket, WatchdogPolicy,
+    BppsaService, FaultInjector, FaultRates, FeasibilityPolicy, ServeConfig, ShedPolicy,
+    SubmitError, Ticket,
 };
 use bppsa_tensor::init::{seeded_rng, uniform_vector};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Requests per measured wave.
 const WAVE: usize = 24;
@@ -64,8 +55,8 @@ fn revalue(template: &JacobianChain<f64>, rng: &mut StdRng) -> JacobianChain<f64
 }
 
 fn bench_serve_overload(c: &mut Criterion) {
-    // One criterion group for both scenarios: the shim writes one JSON
-    // record (with its environment/available_parallelism stamp) per group.
+    // The shim writes one JSON record (with its
+    // environment/available_parallelism stamp) per group.
     let mut group = c.benchmark_group("serve_overload");
     group
         .sample_size(10)
@@ -144,69 +135,6 @@ fn bench_serve_overload(c: &mut Criterion) {
         service.shutdown();
     }
 
-    let mut rng = seeded_rng(707);
-    let template = chain(24, 8, &mut rng);
-    for delay_us in [0u64, 200] {
-        let service = BppsaService::<f64>::new(ServeConfig {
-            max_batch: 2,
-            max_delay: Duration::from_micros(delay_us),
-            queue_cap: 4,
-            max_lanes: 2,
-            workspaces_per_lane: 0,
-            shed: ShedPolicy {
-                max_queue_depth: Some(1),
-                ..ShedPolicy::disabled()
-            },
-            // A watchdog that never fires sets the fast poll cadence the
-            // brownout supervisor inherits.
-            watchdog: Some(WatchdogPolicy {
-                stall_budget: Duration::from_secs(30),
-                poll_interval: Duration::from_millis(1),
-            }),
-            brownout: Some(BrownoutPolicy {
-                shed_rate_high: 0.5,
-                shed_rate_low: 0.25,
-                hot_polls: 1,
-                calm_polls: 1,
-                ..BrownoutPolicy::default()
-            }),
-            ..ServeConfig::default()
-        });
-        let mut seed = 0u64;
-        let mut in_flight: Vec<Ticket<f64>> = Vec::new();
-        let mut cycle = || {
-            // Degrade: flood with non-blocking submits (mostly shed at
-            // depth 1) until the supervisor bottoms the level out.
-            let deadline = Instant::now() + Duration::from_secs(10);
-            while service.brownout_level() < BrownoutLevel::DeclineColdShapes {
-                assert!(Instant::now() < deadline, "brownout never bottomed out");
-                for _ in 0..16 {
-                    let ticket = Ticket::new();
-                    seed += 1;
-                    if service
-                        .try_submit(revalue(&template, &mut seeded_rng(seed)), &ticket)
-                        .is_ok()
-                    {
-                        in_flight.push(ticket);
-                    }
-                }
-            }
-            // Drain, then recover: an idle service is Calm every poll.
-            for ticket in in_flight.drain(..) {
-                ticket.wait().expect("accepted request served");
-            }
-            let deadline = Instant::now() + Duration::from_secs(10);
-            while service.brownout_level() != BrownoutLevel::Normal {
-                assert!(Instant::now() < deadline, "brownout never recovered");
-                std::thread::sleep(Duration::from_micros(500));
-            }
-        };
-        cycle(); // warm: lane planned, supervisor running
-        group.bench_function(format!("brownout_cycle/delay_us_{delay_us}"), |b| {
-            b.iter(&mut cycle)
-        });
-        service.shutdown();
-    }
     group.finish();
 }
 

@@ -56,8 +56,11 @@
 //! placeholder under the router lock, and the symbolic planner runs on the
 //! new lane's dispatcher thread (`Warming → Live → Draining → Retired`,
 //! see [`LaneState`]). Every lane keeps lock-free counters readable via
-//! [`BppsaService::metrics`], and a [`ShedPolicy`] can turn doomed
-//! requests away at submit time instead of letting them queue:
+//! [`BppsaService::metrics`]. Whether a request that reaches its lane is
+//! queued, parks on a full queue, or is refused is one pure decision,
+//! [`admit`]: a [`ShedPolicy`] can turn doomed requests away there instead
+//! of letting them queue — too deep a queue, a budget the warm-up would
+//! consume, or a budget the lane's measured flush latency cannot meet:
 //!
 //! ```
 //! use bppsa_core::{JacobianChain, ScanElement};
@@ -115,8 +118,8 @@ mod ticket;
 pub use fault::{FaultAction, FaultInjector, FaultRates, FaultScript, InjectionPoint};
 pub use metrics::{FlushCause, LaneMetricsSnapshot, LaneState, RetiredRollup};
 pub use overload::{
-    ewma_update, predicted_wait, BrownoutLevel, BrownoutPolicy, BrownoutSignal, BrownoutState,
-    FeasibilityPolicy, WatchdogPolicy, EWMA_SHIFT,
+    admit, ewma_update, predicted_wait, FeasibilityPolicy, LaneAdmission, LaneView, WatchdogPolicy,
+    EWMA_SHIFT,
 };
 // Re-exported so metrics consumers can name the snapshot's plan-profile
 // fields without a direct `bppsa-core` dependency, and so the memory
@@ -126,5 +129,6 @@ pub use retry::RetryPolicy;
 pub use service::{
     flush_decision, lane_plan_options, BppsaService, BreakerPolicy, DeadlinePolicy, FlushDecision,
     ServeConfig, ShedPolicy, SubmitError, SubmitRefusal, LANE_SEGMENTS, LANE_SEGMENT_MIN_LAYERS,
+    RETIRED_METRICS_CAP,
 };
 pub use ticket::{ServeError, Ticket};

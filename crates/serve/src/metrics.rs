@@ -10,12 +10,13 @@
 //! materializes one [`LaneMetricsSnapshot`] per lane ever created.
 //!
 //! The counters are the substrate for load shedding
-//! ([`ShedPolicy`](crate::ShedPolicy)): queue depth and lane state are what
-//! the submit-side shed checks read, and the shed counter records every
-//! refusal so an operator can see *where* doomed traffic is being turned
-//! away.
+//! ([`ShedPolicy`](crate::ShedPolicy)): lane state and the flush-latency
+//! estimate are part of what [`admit`](crate::admit) reads, and the shed
+//! and infeasible counters record its refusals so an operator can see
+//! *where* doomed traffic is being turned away.
 
-use crate::overload::{ewma_update, BrownoutLevel};
+use crate::overload::ewma_update;
+use crate::service::SubmitRefusal;
 use bppsa_core::{KernelCounts, PlanKind};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::time::Duration;
@@ -127,8 +128,6 @@ pub(crate) struct LaneMetrics {
     /// Whether the stall watchdog condemned this lane
     /// ([`ServeError::FlushStalled`](crate::ServeError::FlushStalled)).
     stalled: AtomicU8,
-    /// The service [`BrownoutLevel`] as last mirrored into this lane.
-    brownout: AtomicU8,
     probe: bool,
 }
 
@@ -167,7 +166,6 @@ impl LaneMetrics {
             flush_samples: AtomicU64::new(0),
             heartbeat: AtomicU64::new(0),
             stalled: AtomicU8::new(0),
-            brownout: AtomicU8::new(0),
             probe,
         }
     }
@@ -229,9 +227,16 @@ impl LaneMetrics {
         self.queue_depth.store(depth, Ordering::Relaxed);
     }
 
-    /// One request refused by the shed policy.
-    pub(crate) fn record_shed(&self) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
+    /// One request refused by [`admit`](crate::admit). Sheds and
+    /// infeasibility refusals are counted; warming and backpressure
+    /// refusals are not (the caller retries or routes elsewhere).
+    pub(crate) fn record_refusal(&self, refusal: SubmitRefusal) {
+        let counter = match refusal {
+            SubmitRefusal::Shed => &self.shed,
+            SubmitRefusal::Infeasible => &self.infeasible,
+            _ => return,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// One batch of `size` requests flushed for `cause`, leaving `depth`
@@ -278,12 +283,6 @@ impl LaneMetrics {
         self.died.store(1, Ordering::Relaxed);
     }
 
-    /// One request refused up front as infeasible (predicted wait past its
-    /// deadline).
-    pub(crate) fn record_infeasible(&self) {
-        self.infeasible.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Folds one timed flush into the EWMA estimator. Single writer (the
     /// lane's dispatcher); readers go through
     /// [`LaneMetrics::flush_estimate`].
@@ -315,28 +314,6 @@ impl LaneMetrics {
     /// The stall watchdog condemned this lane's flush.
     pub(crate) fn record_stalled(&self) {
         self.stalled.store(1, Ordering::Relaxed);
-    }
-
-    /// Overload refusals this lane has issued (shed + infeasible) — the
-    /// numerator of the brownout controller's refusal rate.
-    pub(crate) fn overload_refusals(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed) + self.infeasible.load(Ordering::Relaxed)
-    }
-
-    /// Submission attempts this lane has seen (accepted + shed +
-    /// infeasible) — the denominator of the brownout refusal rate.
-    pub(crate) fn overload_attempts(&self) -> u64 {
-        self.submitted.load(Ordering::Relaxed) + self.overload_refusals()
-    }
-
-    /// Mirrors the service brownout level into this lane for snapshots.
-    pub(crate) fn set_brownout(&self, level: BrownoutLevel) {
-        self.brownout.store(level as u8, Ordering::Relaxed);
-    }
-
-    /// The brownout level as last mirrored into this lane.
-    pub(crate) fn brownout(&self) -> BrownoutLevel {
-        BrownoutLevel::from_u8(self.brownout.load(Ordering::Relaxed))
     }
 
     /// Records the cold-start cost: `plan` is the symbolic phase alone (from
@@ -419,7 +396,6 @@ impl LaneMetrics {
             flush_samples: self.flush_samples.load(Ordering::Relaxed),
             flush_progress: self.heartbeat.load(Ordering::Relaxed),
             stalled: self.stalled.load(Ordering::Relaxed) != 0,
-            brownout_level: self.brownout(),
             probe: self.probe,
         }
     }
@@ -525,10 +501,6 @@ pub struct LaneMetricsSnapshot {
     /// ([`ServeError::FlushStalled`](crate::ServeError::FlushStalled);
     /// implies the lane ended [`LaneState::Quarantined`]).
     pub stalled: bool,
-    /// The service-wide [`BrownoutLevel`](crate::BrownoutLevel) as last
-    /// mirrored into this lane by the supervisor (or by the lane's own
-    /// dispatcher at flush time).
-    pub brownout_level: BrownoutLevel,
     /// Whether this lane was the half-open probe for a quarantined shape
     /// (created after cool-down to test recovery; one clean flush restores
     /// the shape to service, one panic re-trips the quarantine).
@@ -573,7 +545,7 @@ impl LaneMetricsSnapshot {
 
 /// Aggregate counters folded out of terminal (retired or quarantined)
 /// lanes' snapshots once the metrics registry outgrows
-/// [`ServeConfig::retired_metrics_cap`](crate::ServeConfig::retired_metrics_cap).
+/// [`RETIRED_METRICS_CAP`](crate::RETIRED_METRICS_CAP).
 /// Per-lane identity (ids, shapes, histograms, timings) is dropped; the
 /// totals keep reconciling — `submitted` here plus the live registry's
 /// `submitted` still equals everything the service ever accepted. Read via
@@ -742,8 +714,8 @@ mod tests {
     #[test]
     fn rollup_folds_infeasible_and_stalled() {
         let m = LaneMetrics::new(7, 3, 4, 4, false);
-        m.record_infeasible();
-        m.record_infeasible();
+        m.record_refusal(SubmitRefusal::Infeasible);
+        m.record_refusal(SubmitRefusal::Infeasible);
         m.record_stalled();
         m.mark_quarantined();
         let snap = m.snapshot();
@@ -766,15 +738,6 @@ mod tests {
     }
 
     #[test]
-    fn brownout_level_mirrors_into_snapshot() {
-        let m = LaneMetrics::new(9, 3, 4, 4, false);
-        assert_eq!(m.snapshot().brownout_level, BrownoutLevel::Normal);
-        m.set_brownout(BrownoutLevel::HalfBatch);
-        assert_eq!(m.brownout(), BrownoutLevel::HalfBatch);
-        assert_eq!(m.snapshot().brownout_level, BrownoutLevel::HalfBatch);
-    }
-
-    #[test]
     fn snapshot_reflects_counts_and_histogram() {
         let m = LaneMetrics::new(2, 5, 6, 4, false);
         for depth in 1..=6 {
@@ -782,7 +745,10 @@ mod tests {
         }
         m.record_flush(FlushCause::MaxBatch, 4, 2);
         m.record_flush(FlushCause::Deadline, 2, 0);
-        m.record_shed();
+        m.record_refusal(SubmitRefusal::Shed);
+        // Warming and backpressure refusals are the caller's to route.
+        m.record_refusal(SubmitRefusal::LaneWarming);
+        m.record_refusal(SubmitRefusal::Backpressure);
         m.record_warmup(Duration::from_micros(3), Duration::from_micros(9));
         let snap = m.snapshot();
         assert_eq!(snap.submitted, 6);

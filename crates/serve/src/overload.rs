@@ -1,28 +1,25 @@
-//! Overload policies: feasibility shedding, stall watchdog, and brownout
-//! degradation.
+//! Overload policies: the admission decision, feasibility shedding, and the
+//! stall watchdog.
 //!
 //! Everything decision-shaped in this module is a **pure function** of
 //! explicitly-passed observations — the same discipline as
 //! [`flush_decision`](crate::flush_decision) — so the proptest suite can
-//! pin monotonicity and arrival-order invariance without threads. The
-//! impure parts (atomics holding the EWMA, the supervisor thread driving
-//! the watchdog and the brownout controller) live in `service.rs` and
-//! `metrics.rs` and only ever *call* these functions.
+//! pin monotonicity, precedence and arrival-order invariance without
+//! threads. The impure parts (atomics holding the EWMA, the supervisor
+//! thread driving the watchdog) live in `service.rs` and `metrics.rs` and
+//! only ever *call* these functions.
 //!
-//! The three policies:
-//!
-//! * [`FeasibilityPolicy`] — refuse requests whose predicted queue wait
-//!   ([`predicted_wait`]: `ceil(queued / max_batch)` flushes at the lane's
-//!   EWMA flush latency, [`ewma_update`]) already exceeds their deadline.
-//!   Shedding a doomed request at submit hands its chain straight back
-//!   instead of burning a queue slot to produce a late failure.
+//! * [`admit`] — the one decision a request faces when it reaches its
+//!   lane: enqueue, park on a full queue, or refuse with a
+//!   [`SubmitRefusal`]. It applies the [`ShedPolicy`] thresholds, the
+//!   warming refusal, the [`FeasibilityPolicy`] gate ([`predicted_wait`]:
+//!   `ceil(queued / max_batch)` flushes at the lane's EWMA flush latency,
+//!   [`ewma_update`]) and the queue bound, in one fixed precedence order.
 //! * [`WatchdogPolicy`] — bound how long a flush may sit inside execution
 //!   before the supervisor declares the lane stalled and fails it through
 //!   the quarantine machinery ([`ServeError::FlushStalled`](crate::ServeError::FlushStalled)).
-//! * [`BrownoutPolicy`] / [`BrownoutLevel`] / [`BrownoutState`] — a
-//!   hysteresis ladder stepping service quality down (and back up) one
-//!   level at a time as shed-rate and memory-budget signals persist.
 
+use crate::service::{ShedPolicy, SubmitRefusal};
 use std::time::Duration;
 
 /// EWMA weight: each new sample contributes `1/2^EWMA_SHIFT` (= 1/8) of
@@ -44,9 +41,11 @@ pub fn ewma_update(prev_nanos: u64, sample_nanos: u64) -> u64 {
     prev_nanos - (prev_nanos >> EWMA_SHIFT) + (sample_nanos >> EWMA_SHIFT)
 }
 
-/// Predicted time until a request at queue position `queued` (counting
-/// itself: `pending + 1`) would flush: full flushes ahead of it at
-/// `max_batch` per flush, each taking `ewma_flush`.
+/// Predicted time until a request flushes when `queued` requests are
+/// already waiting in its lane's queue — the request itself not counted:
+/// [`admit`] passes the queue's pending length. That is
+/// `ceil(queued / max_batch)` flushes, each taking `ewma_flush`, so an
+/// empty queue predicts zero wait.
 ///
 /// Pure in its arguments — two submitters observing the same queue depth
 /// and estimate get the same prediction regardless of arrival order (the
@@ -58,16 +57,16 @@ pub fn predicted_wait(queued: usize, max_batch: usize, ewma_flush: Duration) -> 
     ewma_flush.saturating_mul(flushes)
 }
 
-/// Feasibility sub-policy of [`ShedPolicy`](crate::ShedPolicy): refuse a
-/// request up front ([`SubmitError::Infeasible`](crate::SubmitError::Infeasible))
-/// when its predicted wait exceeds its deadline.
+/// Feasibility sub-policy of [`ShedPolicy`]: refuse a request up front
+/// ([`SubmitError::Infeasible`](crate::SubmitError::Infeasible)) when its
+/// predicted wait exceeds its deadline (see [`admit`]).
 ///
 /// The estimator needs history before it can be trusted: no request is
-/// ever shed on feasibility before the lane has timed at least
+/// ever refused on feasibility before the lane has timed at least
 /// [`min_flushes`](Self::min_flushes) flushes (the cold-start gate), and a
-/// still-warming lane — which has timed none — therefore never
-/// feasibility-sheds at all (warming admission stays governed by
-/// [`ShedPolicy::min_warming_delay`](crate::ShedPolicy::min_warming_delay)).
+/// still-warming lane — which has timed none — therefore never refuses on
+/// feasibility at all (warming admission stays governed by
+/// [`ShedPolicy::min_warming_delay`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FeasibilityPolicy {
     /// Observed (timed) flushes required before predictions are acted on.
@@ -84,23 +83,98 @@ impl Default for FeasibilityPolicy {
     }
 }
 
-impl FeasibilityPolicy {
-    /// Whether a request that can wait at most `deadline` should be
-    /// refused, given the lane's current estimate. `estimate` is `None`
-    /// below the cold-start gate (then nothing is shed). Pure; exclusive
-    /// boundary — a predicted wait exactly equal to the deadline is still
-    /// feasible.
-    pub fn sheds(
-        &self,
-        queued: usize,
-        max_batch: usize,
-        estimate: Option<Duration>,
-        deadline: Duration,
-    ) -> bool {
-        match estimate {
-            Some(ewma) => predicted_wait(queued, max_batch, ewma) > deadline,
-            None => false,
+/// What [`admit`] sees of a lane when a request reaches it: plain values,
+/// read under the lane's queue lock.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LaneView {
+    /// Requests already queued (the request being admitted not counted).
+    pub pending: usize,
+    /// The lane's queue bound ([`ServeConfig::queue_cap`](crate::ServeConfig::queue_cap)).
+    pub queue_cap: usize,
+    /// The lane's flush width ([`ServeConfig::max_batch`](crate::ServeConfig::max_batch)).
+    pub max_batch: usize,
+    /// The lane is still [`Warming`](crate::LaneState::Warming).
+    pub warming: bool,
+    /// The request created the lane: its chain is the warm-up's template.
+    pub creator: bool,
+    /// The lane's EWMA flush latency once it has timed
+    /// [`FeasibilityPolicy::min_flushes`] flushes; `None` for a cold
+    /// estimator.
+    pub flush_estimate: Option<Duration>,
+}
+
+/// What [`admit`] tells a lane to do with a request it does not refuse.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LaneAdmission {
+    /// Queue the request now.
+    Enqueue,
+    /// The queue is full and the caller blocks: wait for room, then ask
+    /// [`admit`] again with a fresh [`LaneView`].
+    Park,
+}
+
+/// The admission decision: what a lane does with a request whose delay
+/// budget is `delay`, submitted blocking (`block`) or not. Every refusal a
+/// lane can issue is decided here, and the lane's enqueue path calls
+/// exactly this function — again after every park. Pure.
+///
+/// The checks, in precedence order:
+///
+/// 1. **Seeding exemption.** The lane's creator, or any request reaching
+///    a warming lane whose queue is empty, seeds the warm-up: the
+///    dispatcher plans from the first queued chain, whoever's it is. No
+///    shed, warming or feasibility check applies to it — refusing it would
+///    leave the lane warming with nothing to plan from.
+/// 2. **Depth shed.** At least [`ShedPolicy::max_queue_depth`] requests
+///    queued: [`SubmitRefusal::Shed`].
+/// 3. **Warming, non-blocking.** A warming lane refuses a non-blocking
+///    caller with [`SubmitRefusal::LaneWarming`] (not a shed: the caller
+///    can route traffic elsewhere).
+/// 4. **Warming-delay shed.** A warming lane refuses a blocking request
+///    whose budget is below [`ShedPolicy::min_warming_delay`] — the
+///    warm-up would consume it: [`SubmitRefusal::Shed`].
+/// 5. **Feasibility.** With [`ShedPolicy::feasibility`] armed and a
+///    trained estimate, a [`predicted_wait`] strictly longer than `delay`
+///    refuses with [`SubmitRefusal::Infeasible`] (a wait equal to the
+///    budget is feasible). Last of the policy checks: it is the most
+///    speculative.
+/// 6. **Capacity.** Room below [`LaneView::queue_cap`] enqueues; a full
+///    queue refuses a non-blocking caller with
+///    [`SubmitRefusal::Backpressure`] and parks a blocking one.
+pub fn admit(
+    policy: &ShedPolicy,
+    lane: &LaneView,
+    delay: Duration,
+    block: bool,
+) -> Result<LaneAdmission, SubmitRefusal> {
+    let seeds_warmup = lane.creator || (lane.warming && lane.pending == 0);
+    if !seeds_warmup {
+        if policy
+            .max_queue_depth
+            .is_some_and(|max| lane.pending >= max)
+        {
+            return Err(SubmitRefusal::Shed);
         }
+        if lane.warming && !block {
+            return Err(SubmitRefusal::LaneWarming);
+        }
+        if lane.warming && policy.min_warming_delay.is_some_and(|min| delay < min) {
+            return Err(SubmitRefusal::Shed);
+        }
+        let infeasible = policy.feasibility.is_some()
+            && lane
+                .flush_estimate
+                .is_some_and(|ewma| predicted_wait(lane.pending, lane.max_batch, ewma) > delay);
+        if infeasible {
+            return Err(SubmitRefusal::Infeasible);
+        }
+    }
+    if lane.pending < lane.queue_cap {
+        Ok(LaneAdmission::Enqueue)
+    } else if block {
+        Ok(LaneAdmission::Park)
+    } else {
+        Err(SubmitRefusal::Backpressure)
     }
 }
 
@@ -161,202 +235,6 @@ impl WatchdogPolicy {
     }
 }
 
-/// Degradation levels a service steps through under sustained pressure,
-/// most degraded last. Each level includes every effect of the levels
-/// before it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
-#[repr(u8)]
-pub enum BrownoutLevel {
-    /// Full service quality.
-    #[default]
-    Normal = 0,
-    /// New lane warm-ups plan unsegmented (cheaper plans, less peak
-    /// concurrency per request). Existing lanes keep their plans.
-    NoSegmentation = 1,
-    /// Additionally, dispatchers halve their effective `max_batch`
-    /// (smaller flushes bound per-flush latency and workspace pressure).
-    HalfBatch = 2,
-    /// Additionally, cold shapes are declined at the router
-    /// ([`SubmitError::MemoryPressure`](crate::SubmitError::MemoryPressure))
-    /// instead of creating new lanes.
-    DeclineColdShapes = 3,
-}
-
-impl BrownoutLevel {
-    /// Recovers a level from its `u8` encoding (out-of-range saturates to
-    /// the most degraded level — fail safe, not fail open).
-    pub fn from_u8(raw: u8) -> Self {
-        match raw {
-            0 => Self::Normal,
-            1 => Self::NoSegmentation,
-            2 => Self::HalfBatch,
-            _ => Self::DeclineColdShapes,
-        }
-    }
-
-    /// The effective batch cap at this level: halved (min 1) from
-    /// [`HalfBatch`](Self::HalfBatch) up.
-    pub fn effective_max_batch(self, max_batch: usize) -> usize {
-        if self >= Self::HalfBatch {
-            (max_batch / 2).max(1)
-        } else {
-            max_batch
-        }
-    }
-}
-
-/// Hysteresis thresholds for the brownout controller, enabled via
-/// [`ServeConfig::brownout`](crate::ServeConfig::brownout).
-///
-/// Each supervisor poll computes the service's shed *rate* (refusals per
-/// attempt over the poll window) and memory-budget utilization, classifies
-/// the window as hot, calm, or neutral ([`BrownoutPolicy::signal`]), and
-/// feeds it to [`BrownoutState::observe`]: only
-/// [`hot_polls`](Self::hot_polls) *consecutive* hot windows step service
-/// quality down one [`BrownoutLevel`], and only
-/// [`calm_polls`](Self::calm_polls) consecutive calm windows step it back
-/// up — a flapping load pattern holds the current level rather than
-/// oscillating.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BrownoutPolicy {
-    /// Shed rate (refused / attempts, in `[0, 1]`) at or above which a
-    /// window is hot.
-    pub shed_rate_high: f64,
-    /// Shed rate strictly below which a window can be calm.
-    pub shed_rate_low: f64,
-    /// Memory-budget utilization (reserved / limit) at or above which a
-    /// window is hot regardless of shed rate. Ignored when no budget is
-    /// configured.
-    pub budget_high: f64,
-    /// Consecutive hot windows required to step down one level.
-    pub hot_polls: u32,
-    /// Consecutive calm windows required to step back up one level.
-    pub calm_polls: u32,
-}
-
-impl Default for BrownoutPolicy {
-    /// Step down after 3 consecutive windows shedding ≥ 20 % (or ≥ 90 %
-    /// budget use); step up after 10 consecutive windows under 5 %.
-    fn default() -> Self {
-        Self {
-            shed_rate_high: 0.20,
-            shed_rate_low: 0.05,
-            budget_high: 0.90,
-            hot_polls: 3,
-            calm_polls: 10,
-        }
-    }
-}
-
-impl BrownoutPolicy {
-    /// Panics if thresholds are inconsistent (`low > high`, rates outside
-    /// `[0, 1]`, or zero streak requirements).
-    pub fn validate(&self) {
-        assert!(
-            (0.0..=1.0).contains(&self.shed_rate_high) && (0.0..=1.0).contains(&self.shed_rate_low),
-            "BrownoutPolicy: shed rates must be in [0, 1]"
-        );
-        assert!(
-            self.shed_rate_low <= self.shed_rate_high,
-            "BrownoutPolicy: shed_rate_low must be <= shed_rate_high"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.budget_high),
-            "BrownoutPolicy: budget_high must be in [0, 1]"
-        );
-        assert!(
-            self.hot_polls > 0 && self.calm_polls > 0,
-            "BrownoutPolicy: hot_polls and calm_polls must be non-zero"
-        );
-    }
-
-    /// Classifies one poll window. `refused` / `attempts` are deltas over
-    /// the window; `budget_utilization` is `None` when no budget is
-    /// configured. A window with no attempts has no shed signal: it is
-    /// calm unless the budget alone is hot.
-    pub fn signal(
-        &self,
-        refused: u64,
-        attempts: u64,
-        budget_utilization: Option<f64>,
-    ) -> BrownoutSignal {
-        let budget_hot = budget_utilization.is_some_and(|u| u >= self.budget_high);
-        let shed_rate = if attempts == 0 {
-            0.0
-        } else {
-            refused as f64 / attempts as f64
-        };
-        if budget_hot || (attempts > 0 && shed_rate >= self.shed_rate_high) {
-            BrownoutSignal::Hot
-        } else if shed_rate < self.shed_rate_low {
-            BrownoutSignal::Calm
-        } else {
-            BrownoutSignal::Neutral
-        }
-    }
-}
-
-/// One poll window's pressure classification (see
-/// [`BrownoutPolicy::signal`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BrownoutSignal {
-    /// Pressure above the step-down thresholds.
-    Hot,
-    /// Pressure below the step-up thresholds.
-    Calm,
-    /// In the hysteresis band: hold the current level and reset streaks.
-    Neutral,
-}
-
-/// The brownout controller's pure state machine: level plus hot/calm
-/// streak counters. Owned by the supervisor thread; unit-testable without
-/// any service.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BrownoutState {
-    level: BrownoutLevel,
-    hot_streak: u32,
-    calm_streak: u32,
-}
-
-impl BrownoutState {
-    /// The current degradation level.
-    pub fn level(&self) -> BrownoutLevel {
-        self.level
-    }
-
-    /// Feeds one window's signal; returns the (possibly stepped) level.
-    /// Steps are single: even a long hot streak descends one level per
-    /// [`BrownoutPolicy::hot_polls`] windows, and any step resets both
-    /// streaks.
-    pub fn observe(&mut self, signal: BrownoutSignal, policy: &BrownoutPolicy) -> BrownoutLevel {
-        match signal {
-            BrownoutSignal::Hot => {
-                self.calm_streak = 0;
-                self.hot_streak += 1;
-                if self.hot_streak >= policy.hot_polls
-                    && self.level < BrownoutLevel::DeclineColdShapes
-                {
-                    self.level = BrownoutLevel::from_u8(self.level as u8 + 1);
-                    self.hot_streak = 0;
-                }
-            }
-            BrownoutSignal::Calm => {
-                self.hot_streak = 0;
-                self.calm_streak += 1;
-                if self.calm_streak >= policy.calm_polls && self.level > BrownoutLevel::Normal {
-                    self.level = BrownoutLevel::from_u8(self.level as u8 - 1);
-                    self.calm_streak = 0;
-                }
-            }
-            BrownoutSignal::Neutral => {
-                self.hot_streak = 0;
-                self.calm_streak = 0;
-            }
-        }
-        self.level
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -387,14 +265,35 @@ mod tests {
 
     #[test]
     fn feasibility_boundary_is_exclusive_and_cold_start_never_sheds() {
-        let p = FeasibilityPolicy { min_flushes: 8 };
-        let ewma = Duration::from_millis(1);
+        let policy = ShedPolicy {
+            feasibility: Some(FeasibilityPolicy { min_flushes: 8 }),
+            ..ShedPolicy::disabled()
+        };
+        let lane = |pending, flush_estimate| LaneView {
+            pending,
+            queue_cap: 2000,
+            max_batch: 4,
+            warming: false,
+            creator: false,
+            flush_estimate,
+        };
+        let ewma = Some(Duration::from_millis(1));
+        let budget = Duration::from_millis(1);
         // Exactly-equal predicted wait is still feasible.
-        assert!(!p.sheds(4, 4, Some(ewma), Duration::from_millis(1)));
-        assert!(p.sheds(5, 4, Some(ewma), Duration::from_millis(1)));
-        // Below the cold-start gate there is no estimate → no shedding,
+        assert_eq!(
+            admit(&policy, &lane(4, ewma), budget, true),
+            Ok(LaneAdmission::Enqueue)
+        );
+        assert_eq!(
+            admit(&policy, &lane(5, ewma), budget, true),
+            Err(SubmitRefusal::Infeasible)
+        );
+        // Below the cold-start gate there is no estimate → no refusal,
         // whatever the deadline.
-        assert!(!p.sheds(1000, 1, None, Duration::ZERO));
+        assert_eq!(
+            admit(&policy, &lane(1000, None), Duration::ZERO, true),
+            Ok(LaneAdmission::Enqueue)
+        );
     }
 
     #[test]
@@ -414,84 +313,6 @@ mod tests {
         WatchdogPolicy {
             stall_budget: Duration::ZERO,
             poll_interval: Duration::from_millis(5),
-        }
-        .validate();
-    }
-
-    #[test]
-    fn brownout_levels_order_and_effective_batch() {
-        assert!(BrownoutLevel::Normal < BrownoutLevel::NoSegmentation);
-        assert!(BrownoutLevel::HalfBatch < BrownoutLevel::DeclineColdShapes);
-        assert_eq!(
-            BrownoutLevel::from_u8(200),
-            BrownoutLevel::DeclineColdShapes
-        );
-        assert_eq!(BrownoutLevel::Normal.effective_max_batch(8), 8);
-        assert_eq!(BrownoutLevel::NoSegmentation.effective_max_batch(8), 8);
-        assert_eq!(BrownoutLevel::HalfBatch.effective_max_batch(8), 4);
-        assert_eq!(BrownoutLevel::DeclineColdShapes.effective_max_batch(1), 1);
-    }
-
-    #[test]
-    fn brownout_steps_down_with_hysteresis_and_recovers() {
-        let p = BrownoutPolicy {
-            hot_polls: 3,
-            calm_polls: 2,
-            ..BrownoutPolicy::default()
-        };
-        p.validate();
-        let mut s = BrownoutState::default();
-        // Two hot polls are not enough; a neutral poll resets the streak.
-        s.observe(BrownoutSignal::Hot, &p);
-        s.observe(BrownoutSignal::Hot, &p);
-        s.observe(BrownoutSignal::Neutral, &p);
-        assert_eq!(s.level(), BrownoutLevel::Normal);
-        // Three consecutive hot polls step down exactly one level.
-        for _ in 0..3 {
-            s.observe(BrownoutSignal::Hot, &p);
-        }
-        assert_eq!(s.level(), BrownoutLevel::NoSegmentation);
-        // Sustained heat keeps descending one level per hot_polls window.
-        for _ in 0..6 {
-            s.observe(BrownoutSignal::Hot, &p);
-        }
-        assert_eq!(s.level(), BrownoutLevel::DeclineColdShapes);
-        // And stays pinned at the floor.
-        for _ in 0..9 {
-            s.observe(BrownoutSignal::Hot, &p);
-        }
-        assert_eq!(s.level(), BrownoutLevel::DeclineColdShapes);
-        // Recovery: calm_polls consecutive calm windows per step up.
-        for _ in 0..2 {
-            s.observe(BrownoutSignal::Calm, &p);
-        }
-        assert_eq!(s.level(), BrownoutLevel::HalfBatch);
-        for _ in 0..4 {
-            s.observe(BrownoutSignal::Calm, &p);
-        }
-        assert_eq!(s.level(), BrownoutLevel::Normal);
-    }
-
-    #[test]
-    fn brownout_signal_classification() {
-        let p = BrownoutPolicy::default();
-        assert_eq!(p.signal(20, 100, None), BrownoutSignal::Hot);
-        assert_eq!(p.signal(0, 100, None), BrownoutSignal::Calm);
-        assert_eq!(p.signal(10, 100, None), BrownoutSignal::Neutral);
-        // Budget pressure alone is hot, even with zero shedding.
-        assert_eq!(p.signal(0, 100, Some(0.95)), BrownoutSignal::Hot);
-        // No attempts and a healthy budget: calm.
-        assert_eq!(p.signal(0, 0, Some(0.1)), BrownoutSignal::Calm);
-        assert_eq!(p.signal(0, 0, None), BrownoutSignal::Calm);
-    }
-
-    #[test]
-    #[should_panic(expected = "shed_rate_low must be <=")]
-    fn inverted_brownout_thresholds_rejected() {
-        BrownoutPolicy {
-            shed_rate_low: 0.5,
-            shed_rate_high: 0.1,
-            ..BrownoutPolicy::default()
         }
         .validate();
     }

@@ -47,10 +47,14 @@
 //! stays bounded by `queue_cap` chains + the workspace pool), while
 //! [`BppsaService::try_submit`] returns [`SubmitError::Backpressure`]
 //! instead. A [`ShedPolicy`] turns blocking into refusal for requests that
-//! are doomed anyway: beyond a queue-depth threshold, or with a delay
-//! budget the lane's warm-up would consume before the first flush, submit
-//! returns [`SubmitError::Shed`] immediately (the chain handed back) and
-//! the lane's shed counter records it. [`BppsaService::shutdown`] (also run
+//! are doomed anyway: beyond a queue-depth threshold, with a delay budget
+//! the lane's warm-up would consume before the first flush
+//! ([`SubmitError::Shed`]), or with a budget the lane's measured flush
+//! latency says it cannot meet ([`SubmitError::Infeasible`]). Every one of
+//! these lane-level decisions — and the warming and backpressure refusals
+//! — is made by the pure [`admit`](crate::admit), in one precedence
+//! order; a refusal hands the chain back and the lane's counters record
+//! it. [`BppsaService::shutdown`] (also run
 //! on drop) closes the router and every lane, then joins the dispatchers —
 //! each drains its pending requests first, so every accepted request
 //! completes and every waiter wakes; only *new* submissions are refused
@@ -84,16 +88,14 @@
 //! lanes included): submit/shed/flush counts, flush causes, batch-size
 //! histogram, queue depth, plan/warm-up time, and the failure counters
 //! (batch panics, breaker trips, deadline expiries, dispatcher deaths).
-//! Terminal lanes beyond [`ServeConfig::retired_metrics_cap`] fold into a
+//! Terminal lanes beyond [`RETIRED_METRICS_CAP`] fold into a
 //! [`RetiredRollup`](crate::RetiredRollup)
 //! ([`BppsaService::metrics_rollup`]) so unbounded shape churn cannot grow
 //! the registry forever. See [`LaneMetricsSnapshot`].
 
 use crate::fault::{FaultInjector, InjectionPoint};
 use crate::metrics::{FlushCause, LaneMetrics, LaneMetricsSnapshot, LaneState, RetiredRollup};
-use crate::overload::{
-    BrownoutLevel, BrownoutPolicy, BrownoutState, FeasibilityPolicy, WatchdogPolicy,
-};
+use crate::overload::{admit, FeasibilityPolicy, LaneAdmission, LaneView, WatchdogPolicy};
 use crate::retry::RetryPolicy;
 use crate::ticket::{ServeError, Ticket, TicketShared};
 use bppsa_core::{
@@ -105,7 +107,7 @@ use bppsa_sparse::SparsityPattern;
 use bppsa_tensor::Scalar;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -117,6 +119,8 @@ use std::time::{Duration, Instant};
 /// Shedding is per lane and synchronous: a shed request never enters the
 /// queue, its chain is handed back in [`SubmitError::Shed`], and the lane's
 /// shed counter ([`LaneMetricsSnapshot::shed`]) records the refusal.
+/// [`admit`](crate::admit) applies every threshold here, in its precedence
+/// order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShedPolicy {
     /// Refuse when the target lane already has this many requests queued.
@@ -159,51 +163,6 @@ impl ShedPolicy {
         if let Some(depth) = self.max_queue_depth {
             assert!(depth >= 1, "ShedPolicy: max_queue_depth must be >= 1");
         }
-    }
-
-    /// Whether the depth threshold refuses a request seeing `queue_depth`
-    /// entries already queued. Pure; monotone in `queue_depth`.
-    pub fn sheds_on_depth(&self, queue_depth: usize) -> bool {
-        self.max_queue_depth.is_some_and(|max| queue_depth >= max)
-    }
-
-    /// Whether the warming-feasibility threshold refuses a blocking request
-    /// with delay budget `delay` submitted to a still-warming lane. Pure;
-    /// anti-monotone in `delay` (a shorter budget never un-sheds).
-    pub fn sheds_on_warming_delay(&self, delay: Duration) -> bool {
-        self.min_warming_delay.is_some_and(|min| delay < min)
-    }
-
-    /// Whether the feasibility threshold refuses a request with delay
-    /// budget `delay`, given the lane's flush-latency `estimate` (already
-    /// gated on the cold-start sample count — `None` never refuses). Pure;
-    /// delegates to [`FeasibilityPolicy::sheds`], exclusive boundary.
-    pub fn sheds_on_infeasibility(
-        &self,
-        queued: usize,
-        max_batch: usize,
-        estimate: Option<Duration>,
-        delay: Duration,
-    ) -> bool {
-        self.feasibility
-            .is_some_and(|p| p.sheds(queued, max_batch, estimate, delay))
-    }
-
-    /// The full shed decision for a blocking submit, as the lane's enqueue
-    /// path applies it: a request that seeds its lane's warm-up is never
-    /// shed; otherwise the depth threshold applies always and the
-    /// warming-delay threshold applies while the lane is warming. Pure —
-    /// this is the function the shed proptests pin down; the submit path
-    /// calls the same component predicates.
-    pub fn should_shed(
-        &self,
-        queue_depth: usize,
-        warming: bool,
-        delay: Duration,
-        seeds_warmup: bool,
-    ) -> bool {
-        !seeds_warmup
-            && (self.sheds_on_depth(queue_depth) || (warming && self.sheds_on_warming_delay(delay)))
     }
 }
 
@@ -316,14 +275,6 @@ pub struct ServeConfig {
     /// Budget/backoff/jitter for [`BppsaService::submit_retrying`] and for
     /// `bppsa-models`' served training paths.
     pub retry: RetryPolicy,
-    /// Metrics-registry bound: once more than this many lanes have ever
-    /// been created, terminal (retired/quarantined) lanes' metrics fold —
-    /// oldest first — into the [`RetiredRollup`](crate::RetiredRollup)
-    /// until the registry is back at the cap, and their dispatchers'
-    /// already-finished `JoinHandle`s are reaped. Live lanes are never
-    /// folded, so the registry can still exceed the cap transiently while
-    /// more than `retired_metrics_cap` lanes are actually serving.
-    pub retired_metrics_cap: usize,
     /// Fault-injection schedule (the disabled no-op by default — a single
     /// branch per injection point, nothing on the steady-state path).
     pub faults: FaultInjector,
@@ -347,15 +298,6 @@ pub struct ServeConfig {
     /// wedged kernel. Off the hot path: the dispatcher's extra cost is one
     /// mutex update per *flush*, not per request.
     pub watchdog: Option<WatchdogPolicy>,
-    /// Brownout controller (`None` — the default — disables it). When
-    /// armed (the supervisor thread runs if either this or
-    /// [`watchdog`](Self::watchdog) is set), sustained overload — shed +
-    /// infeasible refusal rate, memory-budget utilization — steps each
-    /// lane down through [`BrownoutLevel`]s (skip segmentation, halve
-    /// batch width, decline cold shapes) with hysteresis, and back up on
-    /// recovery. The level is visible in
-    /// [`LaneMetricsSnapshot::brownout_level`].
-    pub brownout: Option<BrownoutPolicy>,
 }
 
 impl Default for ServeConfig {
@@ -370,11 +312,9 @@ impl Default for ServeConfig {
             breaker: BreakerPolicy::disabled(),
             deadline: DeadlinePolicy::Soft,
             retry: RetryPolicy::default(),
-            retired_metrics_cap: 256,
             faults: FaultInjector::disabled(),
             memory: None,
             watchdog: None,
-            brownout: None,
         }
     }
 }
@@ -389,9 +329,6 @@ impl ServeConfig {
         self.retry.validate();
         if let Some(watchdog) = self.watchdog {
             watchdog.validate();
-        }
-        if let Some(brownout) = self.brownout {
-            brownout.validate();
         }
     }
 
@@ -437,10 +374,10 @@ pub enum SubmitError<S> {
     /// with a larger budget, or route elsewhere.
     Infeasible(JacobianChain<S>),
     /// The service is under memory pressure: the configured
-    /// [`MemoryBudget`] is exhausted and creating a lane for this (cold)
-    /// shape was refused — either nothing was evictable, or the brownout
-    /// controller is at [`BrownoutLevel::DeclineColdShapes`]. Transient —
-    /// pressure subsides as lanes retire and release their workspaces.
+    /// [`MemoryBudget`] is exhausted and nothing was evictable, so creating
+    /// a lane for this (cold) shape was refused. Transient — pressure
+    /// subsides as reservations release (lanes retiring, or the budget's
+    /// other holders letting go).
     MemoryPressure(JacobianChain<S>),
 }
 
@@ -516,6 +453,20 @@ impl std::fmt::Display for SubmitRefusal {
 impl std::error::Error for SubmitRefusal {}
 
 impl<S> SubmitError<S> {
+    /// The refusal `refusal`, handing `chain` back.
+    fn new(refusal: SubmitRefusal, chain: JacobianChain<S>) -> Self {
+        match refusal {
+            SubmitRefusal::Shutdown => SubmitError::Shutdown(chain),
+            SubmitRefusal::Backpressure => SubmitError::Backpressure(chain),
+            SubmitRefusal::TicketInFlight => SubmitError::TicketInFlight(chain),
+            SubmitRefusal::LaneWarming => SubmitError::LaneWarming(chain),
+            SubmitRefusal::Shed => SubmitError::Shed(chain),
+            SubmitRefusal::Quarantined => SubmitError::Quarantined(chain),
+            SubmitRefusal::Infeasible => SubmitError::Infeasible(chain),
+            SubmitRefusal::MemoryPressure => SubmitError::MemoryPressure(chain),
+        }
+    }
+
     /// Reclaims the refused chain.
     pub fn into_chain(self) -> JacobianChain<S> {
         match self {
@@ -742,21 +693,6 @@ struct LaneQueue<S> {
     open: bool,
 }
 
-/// Why a [`Lane::push`] was refused.
-enum PushRefusal {
-    /// Lane closed (evicted or shutting down) — re-route.
-    Closed,
-    /// Queue full and the caller asked not to block.
-    Full,
-    /// Lane still planning and the caller asked not to block.
-    Warming,
-    /// The shed policy refused the request.
-    Shed,
-    /// The feasibility estimator refused the request (predicted wait
-    /// exceeds the delay budget).
-    Infeasible,
-}
-
 /// The flush currently inside [`BatchedBackward::execute`], published by
 /// the dispatcher for the stall watchdog. `active` is armed after batch
 /// assembly (before the `FlushTiming` injection point, so scripted stalls
@@ -865,10 +801,11 @@ impl<S: Scalar> Lane<S> {
 
 impl<S> Lane<S> {
     /// Enqueues a request, blocking on a full queue when `block` (the
-    /// bounded-queue backpressure). `seed` marks the request that created
-    /// the lane — it is the template the plan will be built from, so the
-    /// warming refusal/shed checks never apply to it. Refusals hand the
-    /// chain back.
+    /// bounded-queue backpressure). `creator` marks the request that created
+    /// the lane. Whether the request is queued, parks, or is refused is
+    /// decided by [`admit`] alone, re-asked after every park. Refusals hand
+    /// the chain back: `None` means the lane is closed (evicted or shutting
+    /// down) and the caller re-routes; `Some` is the lane's refusal.
     fn push(
         &self,
         chain: JacobianChain<S>,
@@ -876,68 +813,36 @@ impl<S> Lane<S> {
         delay: Duration,
         ticket: Arc<TicketShared<S>>,
         block: bool,
-        seed: bool,
-    ) -> Result<(), (JacobianChain<S>, PushRefusal)> {
+        creator: bool,
+    ) -> Result<(), (JacobianChain<S>, Option<SubmitRefusal>)> {
         let mut q = lock(&self.queue);
         loop {
             if !q.open {
-                return Err((chain, PushRefusal::Closed));
+                return Err((chain, None));
             }
-            // The request that seeds the warm-up is exempt from every
-            // shed/warming check: the lane-creating request by definition,
-            // but also *any* request reaching a warming lane whose queue is
-            // still empty — the creator may never have pushed (e.g. a
-            // `TicketInFlight` refusal after `route()` created the lane),
-            // and the dispatcher plans from the first queued chain,
-            // whoever's it is. Refusing it would starve the lane: it
-            // would sit in `Warming` refusing non-blocking traffic forever.
-            let warming = self.metrics.state() == LaneState::Warming;
-            let seeds_warmup = seed || (warming && q.pending.is_empty());
-            if !seeds_warmup {
-                // Same arithmetic as the pure `ShedPolicy::should_shed`
-                // (pinned by proptest), applied in refusal-precedence
-                // order: the depth threshold sheds in both modes, then a
-                // warming lane refuses non-blocking callers (they can
-                // route traffic elsewhere), then a blocking request whose
-                // delay budget the warm-up would consume anyway is shed;
-                // everyone else queues (or parks below on a full queue).
-                if self.shed.sheds_on_depth(q.pending.len()) {
-                    self.metrics.record_shed();
-                    return Err((chain, PushRefusal::Shed));
+            // The estimate is read only with the feasibility gate armed:
+            // two atomic loads then, nothing otherwise.
+            let view = LaneView {
+                pending: q.pending.len(),
+                queue_cap: self.queue_cap,
+                max_batch: self.max_batch,
+                warming: self.metrics.state() == LaneState::Warming,
+                creator,
+                flush_estimate: self
+                    .shed
+                    .feasibility
+                    .and_then(|p| self.metrics.flush_estimate(p.min_flushes)),
+            };
+            match admit(&self.shed, &view, delay, block) {
+                Ok(LaneAdmission::Enqueue) => break,
+                Ok(LaneAdmission::Park) => {
+                    q = self.space.wait(q).unwrap_or_else(PoisonError::into_inner);
                 }
-                if warming {
-                    if !block {
-                        return Err((chain, PushRefusal::Warming));
-                    }
-                    if self.shed.sheds_on_warming_delay(delay) {
-                        self.metrics.record_shed();
-                        return Err((chain, PushRefusal::Shed));
-                    }
-                }
-                // Feasibility last (it is the most speculative refusal):
-                // the lane's own EWMA flush latency predicts this request's
-                // queue wait; a predicted miss is refused up front instead
-                // of burning a batch slot on a guaranteed deadline miss.
-                // The estimate is `None` until the estimator has
-                // `min_flushes` samples — a cold lane never refuses on
-                // feasibility — so this costs one armed-policy branch plus
-                // two relaxed atomic loads, and nothing at all when the
-                // policy is off.
-                if let Some(policy) = self.shed.feasibility {
-                    let estimate = self.metrics.flush_estimate(policy.min_flushes);
-                    if policy.sheds(q.pending.len(), self.max_batch, estimate, delay) {
-                        self.metrics.record_infeasible();
-                        return Err((chain, PushRefusal::Infeasible));
-                    }
+                Err(refusal) => {
+                    self.metrics.record_refusal(refusal);
+                    return Err((chain, Some(refusal)));
                 }
             }
-            if q.pending.len() < self.queue_cap {
-                break;
-            }
-            if !block {
-                return Err((chain, PushRefusal::Full));
-            }
-            q = self.space.wait(q).unwrap_or_else(PoisonError::into_inner);
         }
         q.pending.push_back(PendingRequest {
             chain,
@@ -1061,18 +966,7 @@ fn warm_up<S: Scalar>(lane: &Lane<S>, config: &ServeConfig) -> bool {
         // the Warming window deterministically.
         lane.faults
             .fire(InjectionPoint::PlanBuild { lane: lane.lane_id });
-        // Brownout at `NoSegmentation` or deeper plans this lane serial:
-        // segment-parallel execution multiplies per-workspace footprint
-        // and worker-pool contention — exactly what a pressured service
-        // wants less of. (The level was seeded from the service-wide
-        // brownout at lane creation; a lane created calm keeps its
-        // segmented plan even if pressure arrives later — replanning is
-        // the costlier evil.)
-        let options = if lane.metrics.brownout() >= BrownoutLevel::NoSegmentation {
-            BppsaOptions::serial()
-        } else {
-            lane_plan_options(template.num_layers())
-        };
+        let options = lane_plan_options(template.num_layers());
         let plan = Arc::new(PlannedScan::plan(&template, options));
         let capacity = config.workspace_capacity();
         // A configured memory budget makes pool growth a *reservation*:
@@ -1180,8 +1074,9 @@ pub fn flush_decision(
 ///
 /// On *every* dispatcher exit (clean or not) the guard also releases the
 /// shape's half-open probe slot if this lane held one and never proved it
-/// (a probe evicted or shut down mid-flight must not wedge its shape in
-/// "probing" forever); the release is a no-op after a clear or a re-trip.
+/// (a probe evicted, shut down or killed mid-flight must not wedge its
+/// shape in "probing" forever); the release is a no-op after a clear or a
+/// re-trip.
 struct Supervisor<'a, S: Scalar> {
     lane: &'a Lane<S>,
     chains: Vec<JacobianChain<S>>,
@@ -1209,18 +1104,25 @@ impl<'a, S: Scalar> Supervisor<'a, S> {
 
 impl<S: Scalar> Drop for Supervisor<'_, S> {
     fn drop(&mut self) {
-        if std::thread::panicking() {
-            // Everything here must be panic-free: a panic in drop during
-            // unwind aborts the process. `finish`/`close`/`fail_queue`
-            // absorb mutex poison and take no foreign callbacks. Ordering
-            // matters: the death is recorded and the lane made unroutable
-            // (queue closed, state terminal) *before* any ticket fails, so
-            // a waiter woken by a `LaneDied` outcome already sees the death
-            // in the metrics and a resubmit routes to a fresh lane instead
-            // of racing into this one's queue.
+        // Everything here must be panic-free: a panic in drop during unwind
+        // aborts the process. `finish`/`close`/`fail_queue` absorb mutex
+        // poison and take no foreign callbacks. Ordering matters: a dying
+        // lane records the death and becomes unroutable (queue closed,
+        // state terminal), then releases its probe slot, and only then
+        // fails any ticket — so a waiter woken by a `LaneDied` outcome
+        // already sees the death in the metrics, and its resubmission
+        // routes to a fresh lane (a fresh probe, for a probing shape)
+        // instead of racing into this one's queue or being refused
+        // `Quarantined` by the slot this lane still held.
+        let dying = std::thread::panicking();
+        if dying {
             self.lane.metrics.record_died();
-            self.lane.fail_queue(ServeError::LaneDied);
+            self.lane.close();
             self.lane.metrics.mark_retired();
+        }
+        self.lane.book.abort_probe(&self.lane.shape);
+        if dying {
+            self.lane.fail_queue(ServeError::LaneDied);
             self.deadlines.clear();
             for ((chain, ticket), token) in self
                 .chains
@@ -1235,7 +1137,6 @@ impl<S: Scalar> Drop for Supervisor<'_, S> {
                 ticket.finish_if(token, Some(chain), Some(ServeError::LaneDied));
             }
         }
-        self.lane.book.abort_probe(&self.lane.shape);
     }
 }
 
@@ -1260,11 +1161,6 @@ fn dispatcher_loop<S: Scalar>(lane: &Lane<S>, config: &ServeConfig) {
     // index flushes by this (assembly order), not by executed batches.
     let mut flush_idx: u64 = 0;
     loop {
-        // One relaxed load per *flush cycle*, not per request: under
-        // brownout the effective batch width halves (min 1) at
-        // `HalfBatch` and above, trading throughput for queue drain —
-        // smaller flushes return workspaces and queue room sooner.
-        let max_batch = lane.metrics.brownout().effective_max_batch(lane.max_batch);
         let cause;
         let depth_after;
         {
@@ -1278,7 +1174,7 @@ fn dispatcher_loop<S: Scalar>(lane: &Lane<S>, config: &ServeConfig) {
                 match flush_decision(
                     q.pending.iter().map(|r| r.deadline),
                     q.open,
-                    max_batch,
+                    lane.max_batch,
                     Instant::now(),
                 ) {
                     FlushDecision::Flush(cause) => break cause,
@@ -1301,7 +1197,7 @@ fn dispatcher_loop<S: Scalar>(lane: &Lane<S>, config: &ServeConfig) {
                     }
                 }
             };
-            for _ in 0..q.pending.len().min(max_batch) {
+            for _ in 0..q.pending.len().min(lane.max_batch) {
                 let req = q.pending.pop_front().expect("counted above");
                 sup.tokens.push(req.ticket.flight_token());
                 sup.chains.push(req.chain);
@@ -1381,6 +1277,7 @@ fn dispatcher_loop<S: Scalar>(lane: &Lane<S>, config: &ServeConfig) {
                 batched,
                 lane,
                 flush_idx,
+                flush_started,
                 &mut sup.chains,
                 &mut sup.tickets,
                 &mut sup.tokens,
@@ -1396,19 +1293,13 @@ fn dispatcher_loop<S: Scalar>(lane: &Lane<S>, config: &ServeConfig) {
                 return;
             }
         }
-        // Disarm the watchdog publication and feed the feasibility
-        // estimator. The latency sample spans injection + deadline pruning
-        // + execution — everything between "batch assembled" and "tickets
-        // complete", which is exactly what a queued request waits behind.
+        // Disarm the watchdog publication.
         {
             let mut inflight = lock(&lane.inflight);
             inflight.active = false;
             inflight.tickets.clear();
         }
         lane.metrics.tick_heartbeat();
-        if executed {
-            lane.metrics.record_flush_latency(flush_started.elapsed());
-        }
         flush_idx += 1;
     }
 }
@@ -1428,10 +1319,16 @@ fn dispatcher_loop<S: Scalar>(lane: &Lane<S>, config: &ServeConfig) {
 /// quarantined — pending requests fail with
 /// [`crate::ServeError::LaneQuarantined`] and the returned flag tells the
 /// dispatcher to exit.
+///
+/// A flush that neither trips nor was condemned also feeds the feasibility
+/// estimator, before any ticket resolves: the sample spans `started` (just
+/// after batch assembly) through injection, deadline pruning and
+/// execution — what a queued request waits behind.
 fn flush<S: Scalar>(
     batched: &BatchedBackward<S>,
     lane: &Lane<S>,
     flush_idx: u64,
+    started: Instant,
     chains: &mut Vec<JacobianChain<S>>,
     tickets: &mut Vec<Arc<TicketShared<S>>>,
     tokens: &mut Vec<u64>,
@@ -1446,10 +1343,10 @@ fn flush<S: Scalar>(
         batched.execute(chains, &|i, result| tickets[i].stage_if(tokens[i], result));
     }));
     let failure = outcome.is_err().then_some(ServeError::BatchPanicked);
-    // Publish the breaker's verdict before any ticket resolves: a client
-    // acting on its result — resubmitting the moment a probe succeeds, or
-    // backing off after a trip — must already see the state this outcome
-    // produced.
+    // Publish the breaker's verdict and the latency sample before any
+    // ticket resolves: a client acting on its result — resubmitting the
+    // moment a probe succeeds, backing off after a trip, or sizing its next
+    // budget — must already see the state this outcome produced.
     let condemned = lane.condemned.load(Ordering::Acquire);
     let mut tripped = false;
     if condemned {
@@ -1476,6 +1373,9 @@ fn flush<S: Scalar>(
             tripped = true;
         }
     }
+    if !condemned && !tripped {
+        lane.metrics.record_flush_latency(started.elapsed());
+    }
     for ((chain, ticket), token) in chains
         .drain(..)
         .zip(tickets.drain(..))
@@ -1491,54 +1391,23 @@ fn flush<S: Scalar>(
     condemned || tripped
 }
 
-/// Supervisor poll cadence when only the brownout controller is armed
-/// (with a watchdog, its [`WatchdogPolicy::poll_interval`] wins — the
-/// stall budget needs the tighter clock).
-const BROWNOUT_POLL: Duration = Duration::from_millis(100);
-
-/// Per-lane brownout bookkeeping held by the supervisor thread: the
-/// hysteresis state machine plus the counter values at the previous poll
-/// (the controller works on *deltas* — pressure is a rate, not a total).
-struct LanePressure {
-    lane_id: usize,
-    state: BrownoutState,
-    last_refused: u64,
-    last_attempts: u64,
-}
-
-/// The overload supervisor: one thread per service (spawned lazily with
-/// the first lane, only when [`ServeConfig::watchdog`] or
-/// [`ServeConfig::brownout`] is armed), entirely off the submit/flush hot
-/// path. Each poll it snapshots the live lanes under the router lock (an
-/// `Arc` copy into scratch whose capacity is reserved once — the
-/// steady-state poll allocates nothing), then:
-///
-/// - **watchdog**: any lane whose published in-flight flush has been
-///   executing past the stall budget is condemned ([`Lane::condemn_stalled`]
-///   — tickets fail typed, queue drains, shape quarantines);
-/// - **brownout**: each lane's refusal-rate delta plus the memory budget's
-///   utilization feed the [`BrownoutState`] hysteresis machine; the
-///   resulting level is mirrored into the lane's metrics (where the
-///   dispatcher reads it) and the maximum across lanes is published
-///   service-wide (where the cold-shape decline reads it).
-fn supervisor_loop<S: Scalar>(shared: &ServiceShared<S>) {
-    let poll = shared
-        .config
-        .watchdog
-        .map(|w| w.poll_interval)
-        .unwrap_or(BROWNOUT_POLL);
-    let max_lanes = shared.config.max_lanes;
-    let mut lanes: Vec<Arc<Lane<S>>> = Vec::with_capacity(max_lanes);
-    // Live lanes never exceed `max_lanes`, and stale trackers are pruned
-    // every poll, so neither scratch ever outgrows its capacity.
-    let mut trackers: Vec<LanePressure> = Vec::with_capacity(max_lanes);
+/// The stall watchdog's supervisor: one thread per service (spawned lazily
+/// with the first lane, only when [`ServeConfig::watchdog`] is armed),
+/// entirely off the submit/flush hot path. Each poll it snapshots the live
+/// lanes under the router lock (an `Arc` copy into scratch whose capacity
+/// is reserved once — the steady-state poll allocates nothing) and
+/// condemns any lane whose published in-flight flush has been executing
+/// past the stall budget ([`Lane::condemn_stalled`] — tickets fail typed,
+/// queue drains, shape quarantines).
+fn supervisor_loop<S: Scalar>(shared: &ServiceShared<S>, watchdog: WatchdogPolicy) {
+    let mut lanes: Vec<Arc<Lane<S>>> = Vec::with_capacity(shared.config.max_lanes);
     loop {
         {
             let (stopped, wake) = &*shared.stop;
             let mut guard = stopped.lock().unwrap_or_else(PoisonError::into_inner);
             if !*guard {
                 guard = wake
-                    .wait_timeout(guard, poll)
+                    .wait_timeout(guard, watchdog.poll_interval)
                     .unwrap_or_else(PoisonError::into_inner)
                     .0;
             }
@@ -1555,68 +1424,29 @@ fn supervisor_loop<S: Scalar>(shared: &ServiceShared<S>) {
             }
         }
         let now = Instant::now();
-        if let Some(watchdog) = shared.config.watchdog {
-            for lane in &lanes {
-                if lane.condemned.load(Ordering::Acquire) {
-                    continue;
-                }
-                let stalled = {
-                    let inflight = lock(&lane.inflight);
-                    inflight.active
-                        && watchdog.is_stalled(now.saturating_duration_since(inflight.started))
-                };
-                if stalled {
-                    lane.condemn_stalled(now);
-                }
+        for lane in &lanes {
+            if lane.condemned.load(Ordering::Acquire) {
+                continue;
             }
-        }
-        if let Some(policy) = shared.config.brownout {
-            let utilization = shared.config.memory.as_ref().map(|budget| {
-                if budget.limit() == 0 {
-                    1.0
-                } else {
-                    budget.reserved() as f64 / budget.limit() as f64
-                }
-            });
-            trackers.retain(|t| lanes.iter().any(|l| l.lane_id == t.lane_id));
-            let mut service_level = BrownoutLevel::Normal;
-            for lane in &lanes {
-                let tracker = match trackers.iter_mut().find(|t| t.lane_id == lane.lane_id) {
-                    Some(t) => t,
-                    None => {
-                        // Seed the delta baseline at the lane's *current*
-                        // counters: traffic before supervision started
-                        // (or before this lane was first seen) is not a
-                        // rate this poll observed.
-                        trackers.push(LanePressure {
-                            lane_id: lane.lane_id,
-                            state: BrownoutState::default(),
-                            last_refused: lane.metrics.overload_refusals(),
-                            last_attempts: lane.metrics.overload_attempts(),
-                        });
-                        trackers.last_mut().expect("just pushed")
-                    }
-                };
-                let refused = lane.metrics.overload_refusals();
-                let attempts = lane.metrics.overload_attempts();
-                let signal = policy.signal(
-                    refused.saturating_sub(tracker.last_refused),
-                    attempts.saturating_sub(tracker.last_attempts),
-                    utilization,
-                );
-                tracker.last_refused = refused;
-                tracker.last_attempts = attempts;
-                let level = tracker.state.observe(signal, &policy);
-                lane.metrics.set_brownout(level);
-                service_level = service_level.max(level);
+            let stalled = {
+                let inflight = lock(&lane.inflight);
+                inflight.active
+                    && watchdog.is_stalled(now.saturating_duration_since(inflight.started))
+            };
+            if stalled {
+                lane.condemn_stalled(now);
             }
-            shared
-                .pressure
-                .brownout
-                .store(service_level as u8, Ordering::Relaxed);
         }
     }
 }
+
+/// Metrics-registry bound: once more than this many lanes have ever been
+/// created, terminal (retired/quarantined) lanes' metrics fold — oldest
+/// first — into the [`RetiredRollup`] until the registry is back at the
+/// cap, and their dispatchers' already-finished `JoinHandle`s are reaped.
+/// Live lanes are never folded, so the registry can still exceed the cap
+/// transiently while more lanes than this are actually serving.
+pub const RETIRED_METRICS_CAP: usize = 256;
 
 struct Router<S> {
     lanes: Mru<Arc<Lane<S>>>,
@@ -1630,8 +1460,8 @@ struct Router<S> {
     /// [`BppsaService::metrics`] can report drained lanes. A `LaneMetrics`
     /// is a fixed set of atomics, so the registry's footprint is negligible
     /// next to a live lane's workspaces; still, it is bounded by
-    /// [`ServeConfig::retired_metrics_cap`] — the oldest *terminal* lanes
-    /// beyond the cap fold into [`Router::rollup`].
+    /// [`RETIRED_METRICS_CAP`] — the oldest *terminal* lanes beyond the cap
+    /// fold into [`Router::rollup`].
     metrics: Vec<Arc<LaneMetrics>>,
     /// Aggregate of every lane compacted out of [`Router::metrics`].
     rollup: RetiredRollup,
@@ -1675,19 +1505,6 @@ impl<S> Router<S> {
     }
 }
 
-/// Service-wide overload state: written by the supervisor thread, read on
-/// the cold-shape routing path and by the observability accessors. All
-/// relaxed — these are pressure signals, not synchronization.
-struct PressureShared {
-    /// Maximum [`BrownoutLevel`] across live lanes, as `u8`.
-    brownout: AtomicU8,
-    /// Submits refused with [`SubmitError::MemoryPressure`]. Laneless by
-    /// nature (the refusal happens *instead of* creating a lane), so it is
-    /// counted here, not in any lane's metrics, and never folds into the
-    /// [`RetiredRollup`].
-    memory_refused: AtomicU64,
-}
-
 struct ServiceShared<S> {
     config: ServeConfig,
     /// Shape-keyed quarantine, shared with every lane (lanes trip/clear it
@@ -1696,26 +1513,18 @@ struct ServiceShared<S> {
     /// miss path, never the other way around.
     book: Arc<QuarantineBook>,
     router: Mutex<Router<S>>,
-    pressure: PressureShared,
-    /// The overload supervisor thread (watchdog + brownout controller),
-    /// spawned lazily on the first lane creation when either policy is
-    /// armed; `None` forever otherwise. Joined at shutdown.
+    /// Submits refused with [`SubmitError::MemoryPressure`]. Laneless by
+    /// nature (the refusal happens *instead of* creating a lane), so it is
+    /// counted here, not in any lane's metrics, and never folds into the
+    /// [`RetiredRollup`].
+    memory_refused: AtomicU64,
+    /// The stall watchdog's supervisor thread, spawned lazily on the first
+    /// lane creation when [`ServeConfig::watchdog`] is armed; `None`
+    /// forever otherwise. Joined at shutdown.
     supervisor: Mutex<Option<JoinHandle<()>>>,
     /// Stop signal for the supervisor: flag + condvar so shutdown
     /// interrupts a sleeping poll immediately instead of waiting it out.
     stop: Arc<(Mutex<bool>, Condvar)>,
-}
-
-/// Why [`BppsaService::route`] refused to produce a lane.
-enum RouteRefusal {
-    /// The service is shutting down.
-    Shutdown,
-    /// The chain's shape is quarantined and its cool-down has not elapsed
-    /// (or another request already holds the half-open probe slot).
-    Quarantined,
-    /// The memory budget is exhausted with nothing evictable, or the
-    /// brownout controller is declining cold shapes.
-    MemoryPressure,
 }
 
 /// A deadline micro-batching front door over [`BatchedBackward`]: accepts
@@ -1788,10 +1597,7 @@ impl<S> BppsaService<S> {
                     open: true,
                     lanes_created: 0,
                 }),
-                pressure: PressureShared {
-                    brownout: AtomicU8::new(BrownoutLevel::Normal as u8),
-                    memory_refused: AtomicU64::new(0),
-                },
+                memory_refused: AtomicU64::new(0),
                 supervisor: Mutex::new(None),
                 stop: Arc::new((Mutex::new(false), Condvar::new())),
             }),
@@ -1818,7 +1624,7 @@ impl<S> BppsaService<S> {
 
     /// Point-in-time metrics for every lane still in the registry (evicted
     /// and retired lanes included), in creation (`lane_id`) order. The
-    /// registry is bounded by [`ServeConfig::retired_metrics_cap`]: once it
+    /// registry is bounded by [`RETIRED_METRICS_CAP`]: once it
     /// overflows, the oldest terminal lanes are folded into
     /// [`BppsaService::metrics_rollup`] and no longer appear here — so
     /// `lane_id`s are ascending but not necessarily contiguous from zero.
@@ -1834,7 +1640,7 @@ impl<S> BppsaService<S> {
 
     /// Aggregate counters of every lane compacted out of the
     /// [`BppsaService::metrics`] registry (see
-    /// [`ServeConfig::retired_metrics_cap`]). Total traffic ever served is
+    /// [`RETIRED_METRICS_CAP`]). Total traffic ever served is
     /// the rollup plus the sum over current [`BppsaService::metrics`].
     pub fn metrics_rollup(&self) -> RetiredRollup {
         lock(&self.shared.router).rollup
@@ -1857,19 +1663,11 @@ impl<S> BppsaService<S> {
 
     /// How many submissions were refused with
     /// [`SubmitError::MemoryPressure`] (memory budget exhausted with
-    /// nothing evictable, or brownout declining cold shapes). Laneless —
-    /// these refusals happen *instead of* creating a lane, so they appear
-    /// here rather than in any lane's metrics or the retired rollup.
+    /// nothing evictable). Laneless — these refusals happen *instead of*
+    /// creating a lane, so they appear here rather than in any lane's
+    /// metrics or the retired rollup.
     pub fn memory_refusals(&self) -> u64 {
-        self.shared.pressure.memory_refused.load(Ordering::Relaxed)
-    }
-
-    /// The service-wide brownout level: the maximum across live lanes, as
-    /// last published by the supervisor thread.
-    /// [`BrownoutLevel::Normal`] whenever [`ServeConfig::brownout`] is
-    /// disabled.
-    pub fn brownout_level(&self) -> BrownoutLevel {
-        BrownoutLevel::from_u8(self.shared.pressure.brownout.load(Ordering::Relaxed))
+        self.shared.memory_refused.load(Ordering::Relaxed)
     }
 
     /// Gracefully shuts the service down: refuses new submissions, closes
@@ -1891,7 +1689,7 @@ impl<S> BppsaService<S> {
             // a bug, but shutdown must still reap the remaining threads.
             let _ = handle.join();
         }
-        // Stop the overload supervisor last: it must be able to condemn a
+        // Stop the watchdog's supervisor last: it must be able to condemn a
         // stalled lane right up until that lane's dispatcher is joined.
         let supervisor = lock(&self.shared.supervisor).take();
         if let Some(handle) = supervisor {
@@ -1928,8 +1726,11 @@ impl<S: Scalar> BppsaService<S> {
     ///
     /// [`SubmitError::Shutdown`] when the service is shutting down,
     /// [`SubmitError::TicketInFlight`] when `ticket` already has a pending
-    /// request, [`SubmitError::Shed`] when the configured [`ShedPolicy`]
-    /// refuses the request; all hand the chain back.
+    /// request, [`SubmitError::Quarantined`] or
+    /// [`SubmitError::MemoryPressure`] when no lane may be created for the
+    /// shape, and [`SubmitError::Shed`] or [`SubmitError::Infeasible`]
+    /// when [`admit`](crate::admit) refuses the request under the
+    /// configured [`ShedPolicy`]; all hand the chain back.
     ///
     /// # Panics
     ///
@@ -1985,10 +1786,10 @@ impl<S: Scalar> BppsaService<S> {
         // miss path); [`FlightGuard`] returns the ticket to idle across
         // that unwind.
         if !shared.begin_flight() {
-            return Err(SubmitError::TicketInFlight(chain));
+            return Err(SubmitError::new(SubmitRefusal::TicketInFlight, chain));
         }
         let mut chain = chain;
-        loop {
+        let refusal = loop {
             let routed = {
                 let guard = FlightGuard(&shared);
                 let routed = self.route(&chain);
@@ -1997,44 +1798,21 @@ impl<S: Scalar> BppsaService<S> {
             };
             let (lane, created) = match routed {
                 Ok(pair) => pair,
-                Err(RouteRefusal::Shutdown) => {
-                    shared.abort_flight();
-                    return Err(SubmitError::Shutdown(chain));
-                }
-                Err(RouteRefusal::Quarantined) => {
-                    shared.abort_flight();
-                    return Err(SubmitError::Quarantined(chain));
-                }
-                Err(RouteRefusal::MemoryPressure) => {
-                    shared.abort_flight();
-                    return Err(SubmitError::MemoryPressure(chain));
-                }
+                Err(refusal) => break refusal,
             };
             match lane.push(chain, deadline, delay, Arc::clone(&shared), block, created) {
                 Ok(()) => return Ok(()),
-                Err((c, PushRefusal::Closed)) => {
-                    // Lane evicted between routing and push: re-route (the
-                    // lane is re-created if its shape is still wanted).
+                // Lane evicted between routing and push: re-route (the lane
+                // is re-created if its shape is still wanted).
+                Err((c, None)) => chain = c,
+                Err((c, Some(refusal))) => {
                     chain = c;
-                }
-                Err((c, PushRefusal::Full)) => {
-                    shared.abort_flight();
-                    return Err(SubmitError::Backpressure(c));
-                }
-                Err((c, PushRefusal::Warming)) => {
-                    shared.abort_flight();
-                    return Err(SubmitError::LaneWarming(c));
-                }
-                Err((c, PushRefusal::Shed)) => {
-                    shared.abort_flight();
-                    return Err(SubmitError::Shed(c));
-                }
-                Err((c, PushRefusal::Infeasible)) => {
-                    shared.abort_flight();
-                    return Err(SubmitError::Infeasible(c));
+                    break refusal;
                 }
             }
-        }
+        };
+        shared.abort_flight();
+        Err(SubmitError::new(refusal, chain))
     }
 
     /// Finds (MRU) or creates the lane whose shape key matches `chain`;
@@ -2047,10 +1825,10 @@ impl<S: Scalar> BppsaService<S> {
     /// never for planning: the symbolic planner and workspace pool are
     /// built by the new lane's dispatcher thread ([`warm_up`]), and
     /// submitters of other shapes route concurrently.
-    fn route(&self, chain: &JacobianChain<S>) -> Result<(Arc<Lane<S>>, bool), RouteRefusal> {
+    fn route(&self, chain: &JacobianChain<S>) -> Result<(Arc<Lane<S>>, bool), SubmitRefusal> {
         let mut router = lock(&self.shared.router);
         if !router.open {
-            return Err(RouteRefusal::Shutdown);
+            return Err(SubmitRefusal::Shutdown);
         }
         // A lane whose warm-up failed (plan panic), whose breaker tripped,
         // or whose dispatcher died closed itself but could not remove
@@ -2075,33 +1853,20 @@ impl<S: Scalar> BppsaService<S> {
         // a forever-parked dispatcher, an existing lane. The submitter's
         // `FlightGuard` returns its ticket to idle across the unwind.
         let shape = LaneShape::of(chain);
-        // Deepest brownout level: a browned-out service serves the shapes
-        // it already has plans and workspaces for, and declines to pay a
-        // cold shape's planning + pool cost. Checked before the quarantine
-        // gate so a refusal can never leak a half-open probe slot.
-        let service_level =
-            BrownoutLevel::from_u8(self.shared.pressure.brownout.load(Ordering::Relaxed));
-        if service_level >= BrownoutLevel::DeclineColdShapes {
-            self.shared
-                .pressure
-                .memory_refused
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(RouteRefusal::MemoryPressure);
-        }
         // Quarantine gate, also only on the miss path: a hit proves the
         // shape is not quarantined (a trip marks its lane Quarantined, and
         // the purge above removed any such lane before the find). A
         // tripped shape is refused outright until its cool-down elapses,
         // then exactly one request is admitted as the half-open probe.
         let probe = match self.shared.book.admit(chain, Instant::now()) {
-            Admission::Refuse => return Err(RouteRefusal::Quarantined),
+            Admission::Refuse => return Err(SubmitRefusal::Quarantined),
             Admission::Probe => true,
             Admission::Clear => false,
         };
         // Lane creation is the slow path already — amortize supervision
         // housekeeping here (reap exited dispatchers, bound the metrics
         // registry) instead of on the per-request fast path.
-        router.reap_and_compact(self.shared.config.retired_metrics_cap);
+        router.reap_and_compact(RETIRED_METRICS_CAP);
         // Memory-budget admission: with the budget exhausted, a new lane's
         // warm-up could not prewarm a single workspace — it would park on
         // the budget while holding the shape's traffic. Evict the
@@ -2125,11 +1890,8 @@ impl<S: Scalar> BppsaService<S> {
                         // nothing about the shape's health.
                         self.shared.book.abort_probe(&shape);
                     }
-                    self.shared
-                        .pressure
-                        .memory_refused
-                        .fetch_add(1, Ordering::Relaxed);
-                    return Err(RouteRefusal::MemoryPressure);
+                    self.shared.memory_refused.fetch_add(1, Ordering::Relaxed);
+                    return Err(SubmitRefusal::MemoryPressure);
                 }
             }
         }
@@ -2142,10 +1904,6 @@ impl<S: Scalar> BppsaService<S> {
             probe,
             Arc::clone(&self.shared.book),
         ));
-        // Seed the new lane's brownout level from the service-wide one so
-        // its warm-up plans under the pressure that exists *now* (a calm
-        // supervisor poll later steps it back up).
-        lane.metrics.set_brownout(service_level);
         let (_, inserted, evicted) = router
             .lanes
             .find_or_insert_with_evicted(|_| false, || Arc::clone(&lane));
@@ -2173,14 +1931,14 @@ impl<S: Scalar> BppsaService<S> {
         Ok((lane, true))
     }
 
-    /// Spawns the overload supervisor thread on the first lane creation,
-    /// if (and only if) a watchdog or brownout policy is armed. Lane
-    /// creation is already the slow path, and lazy spawning keeps a
-    /// never-submitted-to service thread-free.
+    /// Spawns the watchdog's supervisor thread on the first lane creation,
+    /// if (and only if) a watchdog is armed. Lane creation is already the
+    /// slow path, and lazy spawning keeps a never-submitted-to service
+    /// thread-free.
     fn ensure_supervisor(&self) {
-        if self.shared.config.watchdog.is_none() && self.shared.config.brownout.is_none() {
+        let Some(watchdog) = self.shared.config.watchdog else {
             return;
-        }
+        };
         let mut slot = lock(&self.shared.supervisor);
         if slot.is_some() {
             return;
@@ -2197,8 +1955,8 @@ impl<S: Scalar> BppsaService<S> {
         let shared = Arc::clone(&self.shared);
         let handle = std::thread::Builder::new()
             .name("bppsa-serve-supervisor".into())
-            .spawn(move || supervisor_loop(&shared))
-            .expect("spawn serve overload supervisor");
+            .spawn(move || supervisor_loop(&shared, watchdog))
+            .expect("spawn serve watchdog supervisor");
         *slot = Some(handle);
     }
 
@@ -2949,7 +2707,7 @@ mod tests {
             false,
         );
         assert!(
-            matches!(refused, Err((_, PushRefusal::Warming))),
+            matches!(refused, Err((_, Some(SubmitRefusal::LaneWarming)))),
             "seeded warming lane refuses further non-blocking pushes"
         );
         // No dispatcher was spawned for this hand-built lane; complete the

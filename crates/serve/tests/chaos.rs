@@ -238,6 +238,66 @@ fn breaker_state_is_published_before_tickets_resolve() {
     assert_eq!(must_terminate(&again, "resubmission"), Ok(()));
 }
 
+/// A half-open probe whose dispatcher dies releases the shape's probe slot
+/// before its tickets fail: a client resubmitting the moment its probe
+/// request reports `LaneDied` is admitted as the next probe — no polling,
+/// no sleep — instead of being refused `Quarantined` by the slot the dead
+/// lane still held.
+#[test]
+fn dying_probe_releases_its_slot_before_its_tickets_fail() {
+    let cooldown = Duration::from_millis(40);
+    let mut config = breaker_config(1, cooldown);
+    // Lane 0 trips after two panics; lane 1, the probe, dies at its first
+    // flush.
+    config.faults = FaultInjector::scripted(
+        FaultScript::new()
+            .batch_panic_times(0, 2)
+            .kill_dispatcher_at_flush(1, 0),
+    );
+    let service = BppsaService::<f64>::new(config);
+    let template = sparse_chain(5, 6, 17);
+
+    for k in 0..2u64 {
+        let ticket = Ticket::new();
+        service
+            .submit(revalue(&template, 100 + k), &ticket)
+            .expect("lane accepts while the breaker counts");
+        assert_eq!(
+            must_terminate(&ticket, "panicking batch"),
+            Err(ServeError::BatchPanicked)
+        );
+        let _ = ticket.take_chain();
+    }
+    // Past the cool-down (this wait is the breaker's, not the check's).
+    std::thread::sleep(cooldown + Duration::from_millis(10));
+    let ticket = Ticket::new();
+    service
+        .submit(revalue(&template, 110), &ticket)
+        .expect("cool-down elapsed: the probe is admitted");
+    assert_eq!(
+        must_terminate(&ticket, "dying probe"),
+        Err(ServeError::LaneDied)
+    );
+
+    let chain = ticket.take_chain();
+    let expect = reference(&chain);
+    service
+        .submit(chain, &ticket)
+        .expect("the dead probe released its slot: the next probe is admitted");
+    assert_eq!(must_terminate(&ticket, "next probe"), Ok(()));
+    ticket.with_result(|r| {
+        for (g, e) in r.grads().iter().zip(&expect) {
+            assert_eq!(g.as_slice(), e.as_slice(), "next probe bit-for-bit");
+        }
+    });
+    assert_eq!(
+        service.quarantined_shapes(),
+        0,
+        "the next probe's clean flush lifts the quarantine"
+    );
+    assert!(service.metrics().iter().any(|l| l.probe && l.died));
+}
+
 #[test]
 fn plan_panic_with_breaker_quarantines_shape_immediately() {
     let cooldown = Duration::from_millis(250);

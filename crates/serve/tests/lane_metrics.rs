@@ -15,13 +15,13 @@ use bppsa_core::JacobianChain;
 use bppsa_core::ScanElement;
 use bppsa_serve::{
     lane_plan_options, BppsaService, FlushCause, LaneState, PlanKind, ServeConfig, ShedPolicy,
-    Ticket, LANE_SEGMENTS, LANE_SEGMENT_MIN_LAYERS,
+    Ticket, LANE_SEGMENTS, LANE_SEGMENT_MIN_LAYERS, RETIRED_METRICS_CAP,
 };
 use bppsa_sparse::Csr;
 use bppsa_tensor::init::{seeded_rng, uniform_vector};
-use bppsa_tensor::Matrix;
+use bppsa_tensor::{Matrix, Vector};
 use rand::Rng;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn sparse_chain(n: usize, width: usize, seed: u64) -> JacobianChain<f64> {
     let mut rng = seeded_rng(seed);
@@ -317,4 +317,77 @@ fn deep_chain_lanes_segment_transparently() {
         deep_snap.plan_segments, LANE_SEGMENTS,
         "deep lanes segment transparently"
     );
+}
+
+/// A one-layer chain whose seed width alone makes its shape distinct.
+fn shape_of_width(width: usize) -> JacobianChain<f64> {
+    let diagonal: Vec<f64> = (0..width).map(|i| 1.0 + i as f64 / 8.0).collect();
+    let mut chain = JacobianChain::new(Vector::from_vec(vec![1.0; width]));
+    chain.push(ScanElement::Sparse(Csr::from_diagonal(&diagonal)));
+    chain
+}
+
+/// Shape churn past [`RETIRED_METRICS_CAP`]: with one live lane at a time,
+/// every new shape evicts and retires the last, and lane creation folds
+/// the oldest terminal lanes into the rollup — the registry stays at the
+/// cap plus the newest lane, and snapshot plus rollup still account for
+/// every submission.
+#[test]
+fn retired_lanes_fold_into_a_bounded_registry_that_reconciles() {
+    const SHAPES: usize = RETIRED_METRICS_CAP + 8;
+    let service = BppsaService::<f64>::new(ServeConfig {
+        max_lanes: 1,
+        workspaces_per_lane: 1,
+        ..config(1)
+    });
+    let ticket = Ticket::new();
+    let submit = |width: usize| {
+        service
+            .submit(shape_of_width(width), &ticket)
+            .expect("accepting");
+        ticket.wait().expect("served");
+        let _ = ticket.take_chain();
+    };
+    for width in 1..=SHAPES {
+        submit(width);
+    }
+    // Compaction folds only terminal lanes. Once every evicted lane has
+    // retired, one more lane creation leaves exactly the cap plus the lane
+    // it created.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while service
+        .metrics()
+        .iter()
+        .rev()
+        .skip(1)
+        .any(|l| l.state != LaneState::Retired)
+    {
+        assert!(Instant::now() < deadline, "evicted lanes never retired");
+        std::thread::yield_now();
+    }
+    submit(SHAPES + 1);
+    service.shutdown();
+
+    let total = SHAPES as u64 + 1;
+    let snaps = service.metrics();
+    let rollup = service.metrics_rollup();
+    assert_eq!(snaps.len(), RETIRED_METRICS_CAP + 1, "registry bounded");
+    assert_eq!(rollup.lanes as usize + snaps.len(), service.lanes_created());
+    assert_eq!(service.lanes_created() as u64, total);
+    assert_eq!(
+        rollup.submitted + snaps.iter().map(|l| l.submitted).sum::<u64>(),
+        total
+    );
+    assert_eq!(
+        rollup.requests_flushed + snaps.iter().map(|l| l.requests_flushed()).sum::<u64>(),
+        total
+    );
+    assert_eq!(
+        rollup.max_batch_flushes + snaps.iter().map(|l| l.max_batch_flushes).sum::<u64>(),
+        total,
+        "max_batch 1: every request is its own full flush"
+    );
+    // The survivors are the newest lanes, still in creation order.
+    assert_eq!(snaps[0].lane_id, service.lanes_created() - snaps.len());
+    assert!(snaps.windows(2).all(|w| w[0].lane_id + 1 == w[1].lane_id));
 }

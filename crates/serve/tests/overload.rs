@@ -1,11 +1,14 @@
 //! Overload-robustness integration suite: the feasibility gate, the global
-//! memory budget, the stall watchdog, and brownout degradation — each
-//! exercised end-to-end through a real [`BppsaService`] with scripted or
-//! seeded fault injection. The tentpole invariants:
+//! memory budget, and the stall watchdog — each exercised end-to-end
+//! through a real [`BppsaService`] with scripted or seeded fault injection.
+//! The tentpole invariants:
 //!
 //! 1. **Doomed requests are refused, not queued.** Once the EWMA flush
 //!    estimator is trained, a request whose delay budget the queue cannot
 //!    meet fails fast with [`SubmitError::Infeasible`], chain handed back.
+//!    The estimator has counted a flush by the time that flush's tickets
+//!    resolve, so a client acting on a result already faces the trained
+//!    gate.
 //! 2. **A wedged flush never hangs a ticket.** With the watchdog armed, a
 //!    scripted flush stall resolves every assembled ticket with
 //!    [`ServeError::FlushStalled`] within the stall budget (plus polling
@@ -14,17 +17,14 @@
 //! 3. **A shape storm never allocates past the budget.** Peak reserved
 //!    bytes stay within the configured [`MemoryBudget`] while every request
 //!    still completes bit-for-bit exactly.
-//! 4. **Degradation is stepped and reversible.** Sustained shedding walks
-//!    the brownout level down to declining cold shapes; recovery walks it
-//!    back to [`BrownoutLevel::Normal`].
-//! 5. **Conservation.** `completed + failed + refused == attempts` under a
+//! 4. **Conservation.** `completed + failed + refused == attempts` under a
 //!    storm that mixes shedding, backpressure, and infeasibility refusals.
 
 use bppsa_core::{BppsaOptions, JacobianChain, PlannedScan, ScanElement};
 use bppsa_serve::{
-    lane_plan_options, BppsaService, BreakerPolicy, BrownoutLevel, BrownoutPolicy, FaultInjector,
-    FaultRates, FaultScript, FeasibilityPolicy, LaneState, MemoryBudget, RetryPolicy, ServeConfig,
-    ServeError, ShedPolicy, SubmitError, SubmitRefusal, Ticket, WatchdogPolicy,
+    lane_plan_options, BppsaService, BreakerPolicy, FaultInjector, FaultRates, FaultScript,
+    FeasibilityPolicy, LaneState, MemoryBudget, RetryPolicy, ServeConfig, ServeError, ShedPolicy,
+    SubmitError, SubmitRefusal, Ticket, WatchdogPolicy,
 };
 use bppsa_sparse::Csr;
 use bppsa_tensor::init::{seeded_rng, uniform_vector};
@@ -285,6 +285,44 @@ fn feasibility_gate_trains_on_flush_latency_and_refuses_doomed_requests() {
     service.shutdown();
 }
 
+/// The feasibility estimator counts a flush before that flush's tickets
+/// resolve: the moment a client's wait returns, `flush_samples` already
+/// includes the flush that served it — no sleep, no polling — so a client
+/// resubmitting on its result faces the estimate that result produced.
+#[test]
+fn flush_latency_is_recorded_before_tickets_resolve() {
+    let service = BppsaService::<f64>::new(ServeConfig {
+        // Every request is its own flush.
+        max_batch: 1,
+        max_delay: Duration::from_micros(200),
+        queue_cap: 4,
+        max_lanes: 2,
+        workspaces_per_lane: 1,
+        shed: ShedPolicy {
+            feasibility: Some(FeasibilityPolicy { min_flushes: 1 }),
+            ..ShedPolicy::disabled()
+        },
+        ..ServeConfig::default()
+    });
+    let template = sparse_chain(4, 6, 330);
+    let ticket = Ticket::new();
+    for k in 0..6u64 {
+        service
+            .submit(revalue(&template, 331 + k), &ticket)
+            .expect("accepting");
+        assert_eq!(must_terminate(&ticket, "timed request"), Ok(()));
+        let lanes = service.metrics();
+        assert_eq!(
+            lanes[0].flush_samples,
+            k + 1,
+            "flush {k} was timed before its ticket resolved"
+        );
+        assert!(lanes[0].ewma_flush_latency > Duration::ZERO);
+        let _ = ticket.take_chain();
+    }
+    service.shutdown();
+}
+
 #[test]
 fn external_memory_pressure_refuses_cold_shapes_and_retry_rides_out_release() {
     // The budget is shared process-wide: consume it entirely *outside* the
@@ -408,116 +446,6 @@ fn shape_storm_peak_reservation_never_exceeds_budget() {
         0,
         "every lane's reservation released on retirement"
     );
-}
-
-#[test]
-fn brownout_steps_down_under_shed_storm_declines_cold_shapes_and_recovers() {
-    // Fast supervision cadence (5 ms polls via the watchdog's interval, a
-    // stall budget too large to ever fire) and single-poll hysteresis so
-    // the whole degrade/recover cycle fits in test time.
-    let config = ServeConfig {
-        max_batch: 2,
-        max_delay: Duration::from_micros(500),
-        queue_cap: 4,
-        max_lanes: 2,
-        workspaces_per_lane: 1,
-        shed: ShedPolicy {
-            max_queue_depth: Some(1),
-            ..ShedPolicy::disabled()
-        },
-        retry: RetryPolicy::none(),
-        watchdog: Some(WatchdogPolicy {
-            stall_budget: Duration::from_secs(30),
-            poll_interval: Duration::from_millis(5),
-        }),
-        brownout: Some(BrownoutPolicy {
-            shed_rate_high: 0.5,
-            shed_rate_low: 0.25,
-            hot_polls: 1,
-            calm_polls: 1,
-            ..BrownoutPolicy::default()
-        }),
-        ..ServeConfig::default()
-    };
-    let service = BppsaService::<f64>::new(config);
-    let hot = sparse_chain(4, 5, 701);
-    let cold = sparse_chain(7, 6, 702);
-
-    // Storm the hot shape with non-blocking submits: depth-1 shedding
-    // refuses most of a tight loop, driving the shed rate past the Hot
-    // threshold every poll window until the level bottoms out.
-    let mut accepted: Vec<Ticket<f64>> = Vec::new();
-    let mut refusals = 0u64;
-    let mut seed = 710u64;
-    let deadline = Instant::now() + TERMINAL;
-    while service.brownout_level() < BrownoutLevel::DeclineColdShapes {
-        assert!(Instant::now() < deadline, "brownout never reached bottom");
-        for _ in 0..32 {
-            let ticket = Ticket::new();
-            seed += 1;
-            match service.try_submit(revalue(&hot, seed), &ticket) {
-                Ok(()) => accepted.push(ticket),
-                Err(e) => {
-                    assert!(
-                        matches!(
-                            e.kind(),
-                            SubmitRefusal::Shed
-                                | SubmitRefusal::Backpressure
-                                | SubmitRefusal::LaneWarming
-                        ),
-                        "unexpected refusal {e:?}"
-                    );
-                    refusals += 1;
-                }
-            }
-        }
-    }
-    assert!(refusals > 0, "the storm must actually shed");
-
-    // At the deepest level the service declines to build lanes for cold
-    // shapes — the memory/planning cost is refused, transiently.
-    let probe = Ticket::new();
-    match service.try_submit(revalue(&cold, 720), &probe) {
-        Err(SubmitError::MemoryPressure(chain)) => {
-            assert_eq!(chain.num_layers(), 7, "chain handed back intact");
-        }
-        other => panic!("expected cold-shape decline, got {other:?}"),
-    }
-    // The snapshot surfaces the degraded level on the live lane.
-    assert!(
-        service
-            .metrics()
-            .iter()
-            .any(|l| l.brownout_level >= BrownoutLevel::NoSegmentation),
-        "lane snapshot reflects the browned-out level"
-    );
-
-    // Everything the storm accepted still terminates (brownout degrades
-    // throughput, never strands work).
-    for (k, ticket) in accepted.iter().enumerate() {
-        assert_eq!(
-            must_terminate(ticket, &format!("storm-accepted request {k}")),
-            Ok(())
-        );
-    }
-
-    // Recovery: an idle service is Calm every window (shed rate zero), so
-    // the level steps back up one poll at a time to Normal.
-    let deadline = Instant::now() + TERMINAL;
-    while service.brownout_level() != BrownoutLevel::Normal {
-        assert!(Instant::now() < deadline, "brownout never recovered");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    // And cold shapes are welcome again.
-    let cold_chain = revalue(&cold, 721);
-    let expect = reference(&cold_chain);
-    let after = Ticket::new();
-    service
-        .submit(cold_chain, &after)
-        .expect("recovered service builds cold lanes again");
-    assert_eq!(must_terminate(&after, "post-recovery cold shape"), Ok(()));
-    assert_exact(&after, &expect, "post-recovery cold shape");
-    service.shutdown();
 }
 
 #[test]

@@ -3,12 +3,14 @@
 //! Two decision functions gate every request's path through a lane, and
 //! both are deliberately pure so they can be pinned here without threads:
 //!
-//! * [`ShedPolicy`] — the submit-time refusal arithmetic. The properties
-//!   that make shedding *safe* are monotonicity (adding queue depth or
-//!   shrinking a delay budget never turns a refusal back into an accept —
-//!   otherwise shedding would oscillate under load) and the seeding
-//!   exemption (the request a lane's warm-up plan is built from is never
-//!   shed, or a cold shape could starve itself forever).
+//! * [`admit`] — the one admission decision a lane applies to every
+//!   request (and again after every park): enqueue, park, or refuse. The
+//!   properties that make it *safe* are monotonicity (adding queue depth
+//!   or shrinking a delay budget never turns a refusal or a park back
+//!   into an enqueue — otherwise shedding would oscillate under load), the
+//!   seeding exemption (the request a lane's warm-up plan is built from is
+//!   never shed, or a cold shape could starve itself forever), and a fixed
+//!   precedence order among the refusals.
 //! * [`flush_decision`] — the dispatcher's wait-loop timer. The property
 //!   that makes deadline batching *correct* is that the timer follows the
 //!   **earliest** pending deadline whatever order requests arrived in:
@@ -17,131 +19,306 @@
 //!   exactly that minimum (never a later deadline, which would let the
 //!   earliest request miss).
 
-use bppsa_serve::{flush_decision, FlushCause, FlushDecision, ShedPolicy};
+use bppsa_serve::{
+    admit, flush_decision, FeasibilityPolicy, FlushCause, FlushDecision, LaneAdmission, LaneView,
+    ShedPolicy, SubmitRefusal,
+};
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
 
 /// An arbitrary shed policy: each threshold independently absent or set.
 fn shed_policy() -> impl Strategy<Value = ShedPolicy> {
-    (any::<bool>(), 1..64usize, any::<bool>(), 0..200_000u64).prop_map(
-        |(arm_depth, depth, arm_delay, min_us)| ShedPolicy {
-            max_queue_depth: arm_depth.then_some(depth),
-            min_warming_delay: arm_delay.then(|| Duration::from_micros(min_us)),
-            feasibility: None,
-        },
+    (
+        (any::<bool>(), 1..64usize),
+        (any::<bool>(), 0..200_000u64),
+        (any::<bool>(), 0..32u64),
     )
+        .prop_map(
+            |((arm_depth, depth), (arm_delay, min_us), (arm_feasible, min_flushes))| ShedPolicy {
+                max_queue_depth: arm_depth.then_some(depth),
+                min_warming_delay: arm_delay.then(|| Duration::from_micros(min_us)),
+                feasibility: arm_feasible.then_some(FeasibilityPolicy { min_flushes }),
+            },
+        )
+}
+
+/// An arbitrary lane as `admit` sees it; the estimate is cold (`None`) a
+/// quarter of the time.
+fn lane_view() -> impl Strategy<Value = LaneView> {
+    (
+        0..96usize,
+        1..96usize,
+        1..16usize,
+        any::<bool>(),
+        any::<bool>(),
+        (0..4u8, 0..50_000u64),
+    )
+        .prop_map(
+            |(pending, queue_cap, max_batch, warming, creator, (cold, ewma_us))| LaneView {
+                pending,
+                queue_cap,
+                max_batch,
+                warming,
+                creator,
+                flush_estimate: (cold != 0).then(|| Duration::from_micros(ewma_us)),
+            },
+        )
+}
+
+/// How bad an outcome is: enqueue < park < refusal. "Never improves"
+/// means this rank never falls.
+fn rank(outcome: Result<LaneAdmission, SubmitRefusal>) -> u8 {
+    match outcome {
+        Ok(LaneAdmission::Enqueue) => 0,
+        Ok(LaneAdmission::Park) => 1,
+        Err(_) => 2,
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    // More queued work never un-sheds: once the depth threshold refuses
-    // at depth `d`, it refuses at every depth above `d` too.
+    // More queued work never improves the outcome: whatever `admit` does
+    // at depth `d`, it does no better at any depth above `d`.
     #[test]
     fn shed_depth_is_monotone(
         policy in shed_policy(),
-        depth in 0..96usize,
-        extra in 0..96usize,
-    ) {
-        if policy.sheds_on_depth(depth) {
-            prop_assert!(
-                policy.sheds_on_depth(depth + extra),
-                "shed at depth {} but accepted at deeper {}",
-                depth,
-                depth + extra
-            );
-        }
-    }
-
-    // A tighter budget never un-sheds: once the warming-feasibility
-    // threshold refuses a delay budget, it refuses every shorter budget.
-    #[test]
-    fn shed_warming_delay_is_anti_monotone(
-        policy in shed_policy(),
-        delay_us in 0..300_000u64,
-        cut_us in 0..300_000u64,
-    ) {
-        let delay = Duration::from_micros(delay_us);
-        let shorter = Duration::from_micros(delay_us.saturating_sub(cut_us));
-        if policy.sheds_on_warming_delay(delay) {
-            prop_assert!(
-                policy.sheds_on_warming_delay(shorter),
-                "shed at {:?} but accepted the shorter budget {:?}",
-                delay,
-                shorter
-            );
-        }
-    }
-
-    // The full decision inherits both monotonicities: raising the queue
-    // depth or cutting the delay budget never flips a shed back to an
-    // accept (with the other inputs held fixed).
-    #[test]
-    fn full_decision_is_monotone_under_load(
-        policy in shed_policy(),
-        depth in 0..96usize,
+        lane in lane_view(),
         extra in 0..96usize,
         delay_us in 0..300_000u64,
-        cut_us in 0..300_000u64,
-        warming in any::<bool>(),
+        block in any::<bool>(),
     ) {
         let delay = Duration::from_micros(delay_us);
-        let worse = Duration::from_micros(delay_us.saturating_sub(cut_us));
-        if policy.should_shed(depth, warming, delay, false) {
-            prop_assert!(
-                policy.should_shed(depth + extra, warming, worse, false),
-                "shed at (depth {}, delay {:?}) but accepted the strictly \
-                 worse (depth {}, delay {:?})",
-                depth,
-                delay,
-                depth + extra,
-                worse
-            );
-        }
-    }
-
-    // The request that seeds a lane's warm-up is never shed, whatever the
-    // policy and however hopeless its budget looks — it *is* the template
-    // the plan gets built from, so refusing it would starve the shape.
-    #[test]
-    fn seeding_requests_are_never_shed(
-        policy in shed_policy(),
-        depth in 0..96usize,
-        delay_us in 0..300_000u64,
-        warming in any::<bool>(),
-    ) {
+        let deeper = LaneView { pending: lane.pending + extra, ..lane };
+        let (at, below) = (admit(&policy, &lane, delay, block), admit(&policy, &deeper, delay, block));
         prop_assert!(
-            !policy.should_shed(depth, warming, Duration::from_micros(delay_us), true),
-            "a lane-seeding request was shed by {:?}",
-            policy
+            rank(below) >= rank(at),
+            "{:?} at depth {} but {:?} at deeper {}", at, lane.pending, below, deeper.pending
         );
     }
 
-    // The decision decomposes exactly into its published components, and
-    // a disabled policy never sheds. Warming-delay infeasibility only
-    // applies while the lane is actually warming.
+    // A tighter budget never improves the outcome: whatever `admit` does
+    // with a delay budget, it does no better with any shorter one.
+    #[test]
+    fn shed_warming_delay_is_anti_monotone(
+        policy in shed_policy(),
+        lane in lane_view(),
+        delay_us in 0..300_000u64,
+        cut_us in 0..300_000u64,
+        block in any::<bool>(),
+    ) {
+        let delay = Duration::from_micros(delay_us);
+        let shorter = Duration::from_micros(delay_us.saturating_sub(cut_us));
+        let (at, tighter) = (admit(&policy, &lane, delay, block), admit(&policy, &lane, shorter, block));
+        prop_assert!(
+            rank(tighter) >= rank(at),
+            "{:?} at {:?} but {:?} with the shorter budget {:?}", at, delay, tighter, shorter
+        );
+    }
+
+    // Both at once: raising the queue depth *and* cutting the budget never
+    // flips a refusal or a park back to an enqueue.
+    #[test]
+    fn full_decision_is_monotone_under_load(
+        policy in shed_policy(),
+        lane in lane_view(),
+        extra in 0..96usize,
+        delay_us in 0..300_000u64,
+        cut_us in 0..300_000u64,
+        block in any::<bool>(),
+    ) {
+        let delay = Duration::from_micros(delay_us);
+        let worse = Duration::from_micros(delay_us.saturating_sub(cut_us));
+        let deeper = LaneView { pending: lane.pending + extra, ..lane };
+        let at = admit(&policy, &lane, delay, block);
+        let under_load = admit(&policy, &deeper, worse, block);
+        prop_assert!(
+            rank(under_load) >= rank(at),
+            "{:?} at (depth {}, delay {:?}) but {:?} at the worse (depth {}, delay {:?})",
+            at, lane.pending, delay, under_load, deeper.pending, worse
+        );
+    }
+
+    // The request that seeds a lane's warm-up — its creator, or whoever
+    // reaches a warming lane with an empty queue — is never shed, refused
+    // as infeasible or refused for warming, whatever the policy and
+    // however hopeless its budget looks: it *is* the template the plan
+    // gets built from, so refusing it would starve the shape.
+    #[test]
+    fn seeding_requests_are_never_shed(
+        policy in shed_policy(),
+        lane in lane_view(),
+        creator in any::<bool>(),
+        delay_us in 0..300_000u64,
+        block in any::<bool>(),
+    ) {
+        // Either the creator, or an empty warming lane.
+        let seed = if creator {
+            LaneView { creator: true, ..lane }
+        } else {
+            LaneView { pending: 0, warming: true, ..lane }
+        };
+        let outcome = admit(&policy, &seed, Duration::from_micros(delay_us), block);
+        prop_assert!(
+            !matches!(
+                outcome,
+                Err(SubmitRefusal::Shed | SubmitRefusal::Infeasible | SubmitRefusal::LaneWarming)
+            ),
+            "a lane-seeding request got {:?} from {:?}", outcome, policy
+        );
+    }
+
+    // Every outcome is explained by its own component, and a disabled
+    // policy refuses only for warming or backpressure — the two refusals
+    // that are not shedding.
     #[test]
     fn decision_decomposes_into_components(
         policy in shed_policy(),
-        depth in 0..96usize,
+        lane in lane_view(),
         delay_us in 0..300_000u64,
-        warming in any::<bool>(),
-        seeds in any::<bool>(),
+        block in any::<bool>(),
     ) {
         let delay = Duration::from_micros(delay_us);
-        let expect = !seeds
-            && (policy.sheds_on_depth(depth)
-                || (warming && policy.sheds_on_warming_delay(delay)));
-        prop_assert_eq!(policy.should_shed(depth, warming, delay, seeds), expect);
-        prop_assert!(!ShedPolicy::disabled().should_shed(depth, warming, delay, seeds));
-        if !warming {
-            prop_assert_eq!(
-                policy.should_shed(depth, false, delay, seeds),
-                !seeds && policy.sheds_on_depth(depth),
-                "warming-delay threshold leaked into a live lane's decision"
-            );
+        let seeds = lane.creator || (lane.warming && lane.pending == 0);
+        let full = lane.pending >= lane.queue_cap;
+        match admit(&policy, &lane, delay, block) {
+            Ok(LaneAdmission::Enqueue) => prop_assert!(!full),
+            Ok(LaneAdmission::Park) => prop_assert!(block && full),
+            Err(SubmitRefusal::Backpressure) => prop_assert!(!block && full),
+            Err(SubmitRefusal::LaneWarming) => prop_assert!(!seeds && lane.warming && !block),
+            Err(SubmitRefusal::Shed) => prop_assert!(
+                !seeds
+                    && (policy.max_queue_depth.is_some_and(|max| lane.pending >= max)
+                        || (lane.warming && policy.min_warming_delay.is_some_and(|min| delay < min)))
+            ),
+            Err(SubmitRefusal::Infeasible) => prop_assert!(
+                !seeds && policy.feasibility.is_some() && lane.flush_estimate.is_some()
+            ),
+            Err(other) => prop_assert!(false, "admit never decides {:?}", other),
         }
+        let disabled = admit(&ShedPolicy::disabled(), &lane, delay, block);
+        prop_assert!(
+            matches!(
+                disabled,
+                Ok(_) | Err(SubmitRefusal::LaneWarming | SubmitRefusal::Backpressure)
+            ),
+            "a disabled policy refused with {:?}", disabled
+        );
     }
+}
+
+/// One row per check, each built so that it and every later check would
+/// refuse: the expected outcome is always the earliest check's.
+#[test]
+fn admit_applies_checks_in_precedence_order() {
+    let everything = ShedPolicy {
+        max_queue_depth: Some(2),
+        min_warming_delay: Some(Duration::from_millis(10)),
+        feasibility: Some(FeasibilityPolicy { min_flushes: 1 }),
+    };
+    // Full, over the depth threshold, warming, and a trained estimate that
+    // predicts a 4 ms wait against a 1 ms budget.
+    let doomed = LaneView {
+        pending: 4,
+        queue_cap: 4,
+        max_batch: 2,
+        warming: true,
+        creator: false,
+        flush_estimate: Some(Duration::from_millis(2)),
+    };
+    let budget = Duration::from_millis(1);
+    let no_depth = ShedPolicy {
+        max_queue_depth: None,
+        ..everything
+    };
+    let feasibility_only = ShedPolicy {
+        min_warming_delay: None,
+        ..no_depth
+    };
+    let live = LaneView {
+        warming: false,
+        ..doomed
+    };
+    type Row = (
+        &'static str,
+        ShedPolicy,
+        LaneView,
+        bool,
+        Result<LaneAdmission, SubmitRefusal>,
+    );
+    let rows: [Row; 8] = [
+        // 1. The creator skips every policy check, but not the queue bound.
+        (
+            "creator, blocking",
+            everything,
+            LaneView {
+                creator: true,
+                ..doomed
+            },
+            true,
+            Ok(LaneAdmission::Park),
+        ),
+        (
+            "creator, non-blocking",
+            everything,
+            LaneView {
+                creator: true,
+                ..doomed
+            },
+            false,
+            Err(SubmitRefusal::Backpressure),
+        ),
+        // 2. Depth shed beats warming, warming delay, feasibility and capacity.
+        ("depth", everything, doomed, false, Err(SubmitRefusal::Shed)),
+        // 3. Warming refuses a non-blocking caller before any later check.
+        (
+            "warming, non-blocking",
+            no_depth,
+            doomed,
+            false,
+            Err(SubmitRefusal::LaneWarming),
+        ),
+        // 4. Warming-delay shed beats feasibility and capacity.
+        (
+            "warming delay",
+            no_depth,
+            doomed,
+            true,
+            Err(SubmitRefusal::Shed),
+        ),
+        // 5. Feasibility beats capacity.
+        (
+            "feasibility",
+            feasibility_only,
+            live,
+            true,
+            Err(SubmitRefusal::Infeasible),
+        ),
+        // 6. Capacity last: park a blocking caller, refuse the rest.
+        (
+            "capacity, blocking",
+            ShedPolicy::disabled(),
+            live,
+            true,
+            Ok(LaneAdmission::Park),
+        ),
+        (
+            "capacity, non-blocking",
+            ShedPolicy::disabled(),
+            live,
+            false,
+            Err(SubmitRefusal::Backpressure),
+        ),
+    ];
+    for (what, policy, lane, block, expect) in rows {
+        assert_eq!(admit(&policy, &lane, budget, block), expect, "{what}");
+    }
+    // With room in the queue and nothing armed, the request is enqueued.
+    let room = LaneView { pending: 1, ..live };
+    assert_eq!(
+        admit(&ShedPolicy::disabled(), &room, budget, false),
+        Ok(LaneAdmission::Enqueue)
+    );
 }
 
 /// Pending-request deadlines as offsets (in microseconds) around `now`:
@@ -239,23 +416,35 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Overload-policy arithmetic: the EWMA flush estimator, the feasibility
-// predicate it feeds, and the brownout hysteresis machine. All pure, so the
-// properties that make overload shedding safe pin down here without threads:
-// the estimator always lands between its inputs (no overshoot that could
-// shed a healthy lane), the predicate is monotone in queue depth and
-// anti-monotone in the delay budget (no oscillation under load), a cold
-// estimator never sheds anything, and the brownout level moves at most one
-// step per poll inside its fixed range (no cliff-edge degradation).
+// Overload-policy arithmetic: the EWMA flush estimator and the feasibility
+// check it feeds inside `admit`. All pure, so the properties that make
+// overload shedding safe pin down here without threads: the estimator
+// always lands between its inputs (no overshoot that could refuse a
+// healthy lane), the check is monotone in queue depth and anti-monotone in
+// the delay budget (no oscillation under load), exact at its boundary, and
+// a cold estimator never refuses anything.
 // ---------------------------------------------------------------------------
 
-use bppsa_serve::{
-    ewma_update, predicted_wait, BrownoutLevel, BrownoutPolicy, BrownoutSignal, BrownoutState,
-    FeasibilityPolicy,
-};
+use bppsa_serve::{ewma_update, predicted_wait};
 
-fn feasibility() -> impl Strategy<Value = FeasibilityPolicy> {
-    (0..32u64).prop_map(|min_flushes| FeasibilityPolicy { min_flushes })
+/// A lane on which no check before feasibility can refuse: live, not the
+/// creator, room in the queue, depth shedding off.
+fn steady_lane(pending: usize, max_batch: usize, ewma_us: u64) -> LaneView {
+    LaneView {
+        pending,
+        queue_cap: pending + 1,
+        max_batch,
+        warming: false,
+        creator: false,
+        flush_estimate: Some(Duration::from_micros(ewma_us)),
+    }
+}
+
+fn feasibility() -> impl Strategy<Value = ShedPolicy> {
+    (0..32u64).prop_map(|min_flushes| ShedPolicy {
+        feasibility: Some(FeasibilityPolicy { min_flushes }),
+        ..ShedPolicy::disabled()
+    })
 }
 
 proptest! {
@@ -279,10 +468,10 @@ proptest! {
         }
     }
 
-    // Folding the same sample twice in either interleaving with another
-    // produces the same *decision inputs* the predicate sees: the
-    // predicate itself is a pure function of (queued, max_batch,
-    // estimate, deadline) — same inputs, same answer, every time.
+    // When no earlier check refuses, `admit` refuses as infeasible exactly
+    // when the predicted wait strictly exceeds the budget (a wait equal to
+    // the budget is still feasible) — and the same inputs always give the
+    // same answer.
     #[test]
     fn feasibility_predicate_is_pure(
         policy in feasibility(),
@@ -290,21 +479,24 @@ proptest! {
         max_batch in 1..32usize,
         ewma_us in 0..1_000_000u64,
         deadline_us in 0..1_000_000u64,
+        block in any::<bool>(),
     ) {
-        let estimate = Some(Duration::from_micros(ewma_us));
+        let lane = steady_lane(queued, max_batch, ewma_us);
         let deadline = Duration::from_micros(deadline_us);
-        let first = policy.sheds(queued, max_batch, estimate, deadline);
+        let first = admit(&policy, &lane, deadline, block);
         for _ in 0..4 {
-            prop_assert_eq!(first, policy.sheds(queued, max_batch, estimate, deadline));
+            prop_assert_eq!(first, admit(&policy, &lane, deadline, block));
         }
-        // And the decision matches the arithmetic it claims to apply:
-        // refuse exactly when the predicted wait strictly exceeds the
-        // budget (a wait equal to the budget is still feasible).
         let wait = predicted_wait(queued, max_batch, Duration::from_micros(ewma_us));
-        prop_assert_eq!(first, wait > deadline);
+        let expect = if wait > deadline {
+            Err(SubmitRefusal::Infeasible)
+        } else {
+            Ok(LaneAdmission::Enqueue)
+        };
+        prop_assert_eq!(first, expect);
     }
 
-    // Deeper queues never un-shed, and a *longer* delay budget never
+    // Deeper queues never un-refuse, and a *longer* delay budget never
     // turns an accept into a refusal — the monotonicities that stop
     // feasibility shedding from oscillating under steady load.
     #[test]
@@ -317,42 +509,40 @@ proptest! {
         deadline_us in 0..1_000_000u64,
         slack_us in 0..1_000_000u64,
     ) {
-        let estimate = Some(Duration::from_micros(ewma_us));
         let deadline = Duration::from_micros(deadline_us);
-        if policy.sheds(queued, max_batch, estimate, deadline) {
+        let infeasible = |queued, deadline| {
+            admit(&policy, &steady_lane(queued, max_batch, ewma_us), deadline, true)
+                == Err(SubmitRefusal::Infeasible)
+        };
+        if infeasible(queued, deadline) {
             prop_assert!(
-                policy.sheds(queued + extra, max_batch, estimate, deadline),
-                "shed at depth {} but accepted at deeper {}", queued, queued + extra
+                infeasible(queued + extra, deadline),
+                "refused at depth {} but accepted at deeper {}", queued, queued + extra
             );
         } else {
             prop_assert!(
-                !policy.sheds(
-                    queued,
-                    max_batch,
-                    estimate,
-                    deadline + Duration::from_micros(slack_us)
-                ),
-                "accepted with budget {:?} but shed with more slack", deadline
+                !infeasible(queued, deadline + Duration::from_micros(slack_us)),
+                "accepted with budget {:?} but refused with more slack", deadline
             );
         }
     }
 
     // The cold-start gate: with no estimate (fewer than `min_flushes`
-    // samples recorded), nothing is ever shed, whatever the queue looks
-    // like — an untrained estimator must not refuse traffic.
+    // samples recorded), nothing is ever refused as infeasible, whatever
+    // the queue looks like — an untrained estimator must not refuse
+    // traffic.
     #[test]
     fn cold_estimator_never_sheds(
-        policy in feasibility(),
-        queued in 0..4096usize,
-        max_batch in 1..64usize,
+        policy in shed_policy(),
+        lane in lane_view(),
         deadline_us in 0..1_000_000u64,
+        block in any::<bool>(),
     ) {
-        prop_assert!(!policy.sheds(
-            queued,
-            max_batch,
-            None,
-            Duration::from_micros(deadline_us)
-        ));
+        let cold = LaneView { flush_estimate: None, ..lane };
+        prop_assert_ne!(
+            admit(&policy, &cold, Duration::from_micros(deadline_us), block),
+            Err(SubmitRefusal::Infeasible)
+        );
     }
 
     // Predicted wait is `ceil(queued / max_batch)` flushes' worth of the
@@ -370,41 +560,5 @@ proptest! {
         prop_assert!(predicted_wait(queued + 1, max_batch, ewma) >= wait);
         prop_assert!(predicted_wait(queued, max_batch + 1, ewma) <= wait);
         prop_assert_eq!(predicted_wait(0, max_batch, ewma), Duration::ZERO);
-    }
-
-    // Whatever signal sequence the supervisor feeds it, the brownout
-    // level stays inside [Normal, DeclineColdShapes] and moves at most
-    // one step per poll — degradation and recovery are both gradual.
-    #[test]
-    fn brownout_level_moves_one_step_at_a_time(
-        signals in proptest::collection::vec(0..3u8, 0..64),
-        hot_polls in 1..5u32,
-        calm_polls in 1..5u32,
-    ) {
-        let policy = BrownoutPolicy {
-            hot_polls,
-            calm_polls,
-            ..BrownoutPolicy::default()
-        };
-        policy.validate();
-        let mut state = BrownoutState::default();
-        let mut prev = state.level();
-        prop_assert_eq!(prev, BrownoutLevel::Normal);
-        for s in signals {
-            let signal = match s {
-                0 => BrownoutSignal::Hot,
-                1 => BrownoutSignal::Calm,
-                _ => BrownoutSignal::Neutral,
-            };
-            let level = state.observe(signal, &policy);
-            let (lo, hi) = (prev.min(level), prev.max(level));
-            prop_assert!(
-                (lo as u8) + 1 >= hi as u8,
-                "level jumped {:?} -> {:?}", prev, level
-            );
-            prop_assert!(level >= BrownoutLevel::Normal);
-            prop_assert!(level <= BrownoutLevel::DeclineColdShapes);
-            prev = level;
-        }
     }
 }
