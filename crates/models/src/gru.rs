@@ -21,10 +21,11 @@
 //! ```
 //!
 //! validated against finite differences, BPTT, and the scan in the tests.
+//! Mini-batches run the same scan through a
+//! [`BackwardEngine`](crate::BackwardEngine) with
+//! [`Gru::hidden_grads_bppsa_batch`]: one planned chain per sample.
 
-use crate::engine::{block_template, common_len, refresh_block, BackwardEngine};
-use crate::served::ServedSubmitError;
-use crate::train::BackwardMethod;
+use crate::engine::{chain_template, common_len, refresh_chain, BackwardEngine};
 use bppsa_core::{bppsa_backward, BppsaOptions, JacobianChain, ScanElement};
 use bppsa_ops::SoftmaxCrossEntropy;
 use bppsa_sparse::Csr;
@@ -215,53 +216,40 @@ impl<S: Scalar> Gru<S> {
     }
 
     /// Per-sample `∇h_t` sequences for a whole mini-batch through a
-    /// [`BackwardEngine`] (`method` picks the fused, per-sample or served
-    /// route). The chain is built once per shape and its values refreshed
-    /// in place every call. Equal to calling [`Gru::hidden_grads_bppsa`]
-    /// per sample up to the planned executor's rounding.
-    ///
-    /// # Errors
-    ///
-    /// [`ServedSubmitError`] when the served route's service refuses a
-    /// request past its retry budget; the batch can be run again.
+    /// [`BackwardEngine`]: one chain per sample, all on one plan built with
+    /// `opts`. The chains are built once per shape and their values
+    /// refreshed in place every call. Equal to calling
+    /// [`Gru::hidden_grads_bppsa`] per sample up to the planned executor's
+    /// rounding.
     ///
     /// # Panics
     ///
-    /// Panics if the batch is empty, sequences have unequal lengths, or
-    /// `method` is not a batch route (see [`BackwardEngine::scan`]).
+    /// Panics if the batch is empty or sequences have unequal lengths.
     pub fn hidden_grads_bppsa_batch(
         &self,
         batch: &[(&[GruStep<S>], Vector<S>)],
-        method: BackwardMethod,
+        opts: BppsaOptions,
         engine: &mut BackwardEngine<S>,
-    ) -> Result<Vec<Vec<Vector<S>>>, ServedSubmitError> {
+    ) -> Vec<Vec<Vector<S>>> {
         let t_len = common_len(batch.iter().map(|(steps, _)| steps.len()));
         let h_dim = self.hidden_size();
         let zero = Vector::zeros(h_dim);
         engine.run(
-            method,
+            opts,
             (t_len, h_dim),
             batch.len(),
-            |blocks| {
-                let block = Csr::from_dense_pattern(&Matrix::zeros(h_dim, h_dim));
-                block_template(&block, blocks, t_len)
+            || {
+                let full = Csr::from_dense_pattern(&Matrix::<S>::zeros(h_dim, h_dim));
+                chain_template(full.pattern(), t_len)
             },
-            |k, chain, block| {
+            |k, chain| {
                 let (steps, seed) = &batch[k];
-                refresh_block(chain, block, seed.as_slice(), |t, values| {
+                refresh_chain(chain, seed.as_slice(), |t, values| {
                     let h_prev = if t == 0 { &zero } else { &steps[t - 1].h };
                     self.fill_hidden_jacobian_values(&steps[t], h_prev, values);
                 });
             },
-            |_, result, block| {
-                (0..t_len)
-                    .map(|t| {
-                        let g =
-                            &result.grad_x(t + 1).as_slice()[block * h_dim..(block + 1) * h_dim];
-                        Vector::from_vec(g.to_vec())
-                    })
-                    .collect()
-            },
+            |_, result| (0..t_len).map(|t| result.grad_x(t + 1).clone()).collect(),
         )
     }
 
@@ -325,27 +313,6 @@ mod tests {
     }
 
     #[test]
-    fn planned_hidden_grads_match_bptt() {
-        let g = gru(21);
-        let x = xs(40, 22);
-        let steps = g.forward(&x);
-        let (_, seed) = g.loss_and_seed(&steps, 1);
-        let bptt = g.hidden_grads_bptt(&steps, &seed);
-        let mut engine = BackwardEngine::new();
-        let fused = BackwardMethod::bppsa_fused_planned(BppsaOptions::serial());
-        for round in 0..3 {
-            let planned = g
-                .hidden_grads_bppsa_batch(&[(&steps, seed.clone())], fused, &mut engine)
-                .unwrap();
-            for (t, (a, b)) in bptt.iter().zip(&planned[0]).enumerate() {
-                let diff = a.max_abs_diff(b);
-                assert!(diff < 1e-9, "round {round} t={t}: diff {diff}");
-            }
-        }
-        assert_eq!(engine.plans_built(), 1);
-    }
-
-    #[test]
     fn pooled_hidden_grads_match_bptt_and_plan_once() {
         let g = gru(31);
         let prepared: Vec<(Vec<GruStep<f64>>, Vector<f64>)> = (0..4)
@@ -360,11 +327,9 @@ mod tests {
             .map(|(steps, seed)| (steps.as_slice(), seed.clone()))
             .collect();
         let mut engine = BackwardEngine::new();
-        let method = BackwardMethod::bppsa_pooled_batched(BppsaOptions::serial());
+        let serial = BppsaOptions::serial();
         for round in 0..3 {
-            let pooled = g
-                .hidden_grads_bppsa_batch(&batch, method, &mut engine)
-                .unwrap();
+            let pooled = g.hidden_grads_bppsa_batch(&batch, serial, &mut engine);
             for (k, (steps, seed)) in prepared.iter().enumerate() {
                 let bptt = g.hidden_grads_bptt(steps, seed);
                 for (t, (a, b)) in bptt.iter().zip(&pooled[k]).enumerate() {
@@ -375,7 +340,7 @@ mod tests {
         }
         assert_eq!(engine.plans_built(), 1);
         // Smaller batch: same per-sample shape, same plan.
-        let _ = g.hidden_grads_bppsa_batch(&batch[..2], method, &mut engine);
+        let _ = g.hidden_grads_bppsa_batch(&batch[..2], serial, &mut engine);
         assert_eq!(engine.plans_built(), 1);
     }
 

@@ -7,9 +7,9 @@
 //! * [`DiagonalSsm`] — a diagonal linear-recurrence (SSM) toy whose scan
 //!   chain the planner compiles into the elementwise diagonal fast path;
 //! * [`Gru`] — a GRU showing the scan formulation is architecture-agnostic;
-//! * [`BackwardEngine`] — the one planned mini-batch backward: fused,
-//!   per-sample and served routes over refreshable chains, with one
-//!   in-order gradient sum, behind each recurrent model's batch method;
+//! * [`BackwardEngine`] — the one planned mini-batch backward: one
+//!   refreshable chain per sample on one plan, with one in-order gradient
+//!   sum, behind each recurrent model's batch method;
 //! * [`lenet5`] — LeNet-5 for the Figure 7 convergence experiment;
 //! * [`vgg11`] / [`vgg11_convs`] — VGG-11 for Table 1 and the §4.2 pruned
 //!   retraining micro-benchmark (Figure 11);
@@ -43,7 +43,6 @@ mod gru;
 mod lenet;
 mod optim;
 mod rnn;
-mod served;
 mod ssm;
 mod vgg;
 
@@ -51,12 +50,11 @@ pub mod prune;
 pub mod train;
 
 pub use datasets::{BitstreamDataset, BitstreamSample, ImageSample, SyntheticCifar};
-pub use engine::{refresh_block, BackwardEngine, FusedPlannedState, SsmTrainState};
+pub use engine::{refresh_chain, BackwardEngine, FusedPlannedState, SsmTrainState};
 pub use gru::{Gru, GruStep};
 pub use lenet::{lenet5, lenet_tiny};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use rnn::{RnnBatchSample, RnnGrads, RnnStates, VanillaRnn};
-pub use served::ServedSubmitError;
 pub use ssm::{DiagonalSsm, SsmBatchSample, SsmGrads, SsmStates};
 pub use vgg::{vgg11, vgg11_conv_geometry, vgg11_convs, VGG11_WIDTHS};
 

@@ -13,14 +13,12 @@
 //! Equation 2 parameter accumulation, which has no sequential dependency).
 //! Mini-batches run the same scan through a
 //! [`BackwardEngine`](crate::BackwardEngine) with
-//! [`VanillaRnn::backward_bppsa_batch`].
+//! [`VanillaRnn::backward_bppsa_batch`]: one planned chain per sample.
 
 use crate::engine::{
-    add_outer, block_template, common_len, refresh_block, sum_in_order, BackwardEngine,
+    add_outer, chain_template, common_len, refresh_chain, sum_in_order, BackwardEngine,
 };
-use crate::served::ServedSubmitError;
-use crate::train::BackwardMethod;
-use bppsa_core::{bppsa_backward, BppsaOptions, JacobianChain, ScanElement};
+use bppsa_core::{bppsa_backward, BackwardResult, BppsaOptions, JacobianChain, ScanElement};
 use bppsa_ops::SoftmaxCrossEntropy;
 use bppsa_sparse::Csr;
 use bppsa_tensor::{init, Matrix, Scalar, Vector};
@@ -55,7 +53,7 @@ pub struct VanillaRnn<S> {
 /// The recorded hidden states `h_0 … h_{T−1}` of one forward pass.
 pub type RnnStates<S> = Vec<Vector<S>>;
 
-/// One prepared sample of a fused mini-batch backward:
+/// One prepared sample of a mini-batch backward:
 /// `(bits, states, seed, ∇logits)` with the seeds pre-scaled by `1/B`.
 pub type RnnBatchSample<'a, S> = (&'a [S], &'a RnnStates<S>, Vector<S>, Vector<S>);
 
@@ -233,8 +231,8 @@ impl<S: Scalar> VanillaRnn<S> {
     }
 
     /// Writes [`VanillaRnn::hidden_jacobian_t`]'s values row-major into a
-    /// caller-owned slice — the allocation-free refresh used when a fused
-    /// chain's block values are rewritten in place between iterations.
+    /// caller-owned slice — the allocation-free refresh used when an engine
+    /// chain's values are rewritten in place between iterations.
     ///
     /// # Panics
     ///
@@ -289,60 +287,49 @@ impl<S: Scalar> VanillaRnn<S> {
         grads
     }
 
-    /// Batched BPPSA through a [`BackwardEngine`]: `method` picks the
-    /// fused route (one block-diagonal chain over the batch, the
-    /// `diag(J_t^{(1)}, …, J_t^{(B)})` per timestep that the paper's CUDA
-    /// implementation batches across thread blocks), the per-sample route
-    /// (one chain each over pooled workspaces) or the served route. Each
-    /// sample's parameter gradients (Equation 2) are summed in sample
-    /// order, so every route returns the same bits, equal to summing
-    /// [`VanillaRnn::backward_bppsa`] over the batch up to the planned
-    /// executor's rounding.
-    ///
-    /// # Errors
-    ///
-    /// [`ServedSubmitError`] when the served route's service refuses a
-    /// request past its retry budget; the batch can be run again.
+    /// Batched BPPSA through a [`BackwardEngine`]: one chain per sample, all
+    /// on one plan built with `opts`, each sample's parameter gradients
+    /// (Equation 2) computed inside the fan-out and summed in sample order.
+    /// Equal to summing [`VanillaRnn::backward_bppsa`] over the batch up to
+    /// the planned executor's rounding, and the same bits on every
+    /// executor.
     ///
     /// # Panics
     ///
-    /// Panics if the batch is empty, sequences have unequal lengths, or
-    /// `method` is not a batch route (see [`BackwardEngine::scan`]).
+    /// Panics if the batch is empty or sequences have unequal lengths.
     pub fn backward_bppsa_batch(
         &self,
         batch: &[RnnBatchSample<'_, S>],
-        method: BackwardMethod,
+        opts: BppsaOptions,
         engine: &mut BackwardEngine<S>,
-    ) -> Result<RnnGrads<S>, ServedSubmitError> {
+    ) -> RnnGrads<S> {
         let t_len = batch_len(batch);
         let h_dim = self.hidden_size();
         let partials = engine.run(
-            method,
+            opts,
             (t_len, h_dim),
             batch.len(),
-            |blocks| self.chain_template(blocks, t_len),
-            |k, chain, block| self.refresh_sample(&batch[k], chain, block),
-            |k, result, block| {
+            || self.chain_template(t_len),
+            |k, chain| self.refresh_sample(&batch[k], chain),
+            |k, result| {
                 let (bits, states, _, g_logits) = &batch[k];
                 let mut grads = RnnGrads::zeros(self.input_dim, h_dim, self.num_classes());
-                self.accumulate_sample_grads(bits, states, g_logits, result, block, &mut grads);
+                self.accumulate_sample_grads(bits, states, g_logits, result, &mut grads);
                 grads
             },
-        )?;
-        Ok(sum_in_order(partials, RnnGrads::accumulate))
+        );
+        sum_in_order(partials, RnnGrads::accumulate)
     }
 
-    /// [`VanillaRnn::backward_bppsa_batch`] on the fused route. Kept only
-    /// for the benchmark (`perfbench/`), which names it.
+    /// [`VanillaRnn::backward_bppsa_batch`] under the fused route's former
+    /// name. Kept only for the benchmark (`perfbench/`), which names it.
     pub fn backward_bppsa_batched_planned(
         &self,
         batch: &[RnnBatchSample<'_, S>],
         opts: BppsaOptions,
         engine: &mut BackwardEngine<S>,
     ) -> RnnGrads<S> {
-        let method = BackwardMethod::BppsaFusedPlanned { opts };
-        self.backward_bppsa_batch(batch, method, engine)
-            .expect("the fused route never refuses")
+        self.backward_bppsa_batch(batch, opts, engine)
     }
 
     /// [`VanillaRnn::backward_bppsa_batch`] on the per-sample route. Kept
@@ -353,122 +340,44 @@ impl<S: Scalar> VanillaRnn<S> {
         opts: BppsaOptions,
         engine: &mut BackwardEngine<S>,
     ) -> RnnGrads<S> {
-        let method = BackwardMethod::BppsaPooled { opts };
-        self.backward_bppsa_batch(batch, method, engine)
-            .expect("the per-sample route never refuses")
+        self.backward_bppsa_batch(batch, opts, engine)
     }
 
-    /// Mixed-shape inference-gradient serving: independent per-sample
-    /// requests with **heterogeneous sequence lengths**, all submitted to
-    /// one shared [`BppsaService`](bppsa_serve::BppsaService) — the
-    /// serving-shard scenario where users' sequences differ and the router
-    /// coalesces same-length requests into shared per-shape lanes.
-    ///
-    /// Returns each request's full parameter gradients, equal (up to the
-    /// planned executor's deterministic rounding) to running
-    /// [`VanillaRnn::backward_bppsa`] per sample.
-    ///
-    /// # Errors
-    ///
-    /// [`ServedSubmitError`] when a request is
-    /// refused past the shared service's retry budget — a shared front
-    /// door may shed load or have quarantined this sequence length's
-    /// shape; requests accepted before the refusal are waited out first.
+    /// The chain [`VanillaRnn::backward_bppsa_batch`] scans for a
+    /// one-sample batch: one CSR layer per timestep, each storing every
+    /// position ([`Csr::from_dense_pattern`]), so the pattern depends only
+    /// on `(T, hidden)`. Kept only for the benchmark (`perfbench/`), which
+    /// names it.
     ///
     /// # Panics
     ///
-    /// Panics if any request's sequence is empty, or if an *accepted*
-    /// request fails (possible only when the shared service runs a
-    /// breaker, hard deadlines, or fault injection).
-    pub fn serve_sample_gradients(
-        &self,
-        service: &bppsa_serve::BppsaService<S>,
-        requests: &[RnnBatchSample<'_, S>],
-    ) -> Result<Vec<RnnGrads<S>>, ServedSubmitError> {
-        let tickets: Vec<bppsa_serve::Ticket<S>> = requests
-            .iter()
-            .map(|_| bppsa_serve::Ticket::new())
-            .collect();
-        // A shared service may transiently refuse (load shedding, lane
-        // warming under try-semantics, a quarantined shape in half-open);
-        // `submit_retrying` absorbs those under the service's RetryPolicy
-        // instead of failing the whole request set on the first refusal.
-        let mut submitted = 0;
-        let mut failure = None;
-        for (k, ticket) in tickets.iter().enumerate() {
-            let chain = self.build_batched_chain(&requests[k..k + 1]);
-            match service.submit_retrying(chain, ticket) {
-                Ok(()) => submitted += 1,
-                Err(e) => {
-                    failure = Some(ServedSubmitError {
-                        index: k,
-                        refusal: e.kind(),
-                    });
-                    break;
-                }
-            }
-        }
-        if let Some(err) = failure {
-            // Never return with requests still in flight: land everything
-            // accepted before the refusal, then surface the error.
-            for ticket in &tickets[..submitted] {
-                let _ = ticket.wait();
-                let _ = ticket.take_chain();
-            }
-            return Err(err);
-        }
-        Ok(requests
-            .iter()
-            .zip(&tickets)
-            .enumerate()
-            .map(|(k, ((bits, states, _, g_logits), ticket))| {
-                ticket
-                    .wait()
-                    .unwrap_or_else(|e| panic!("serve_sample_gradients: request {k} failed: {e}"));
-                let mut grads =
-                    RnnGrads::zeros(self.input_dim, self.hidden_size(), self.num_classes());
-                ticket.with_result(|r| {
-                    self.accumulate_sample_grads(bits, states, g_logits, r, 0, &mut grads);
-                });
-                grads
-            })
-            .collect())
-    }
-
-    /// Builds the fused mini-batch chain: concatenated seeds plus one
-    /// block-diagonal CSR element per timestep. The per-sample blocks store
-    /// every position ([`Csr::from_dense_pattern`]), so the pattern depends
-    /// only on `(B, T, hidden)`, which is what makes the chain plannable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch is empty or sequences have unequal lengths.
+    /// Panics unless `batch` holds exactly one sample.
     pub fn build_batched_chain(&self, batch: &[RnnBatchSample<'_, S>]) -> JacobianChain<S> {
-        let mut chain = self.chain_template(batch.len(), batch_len(batch));
-        for (k, sample) in batch.iter().enumerate() {
-            self.refresh_sample(sample, &mut chain, k);
-        }
+        let [sample] = batch else {
+            panic!(
+                "build_batched_chain: one sample expected, got {}",
+                batch.len()
+            )
+        };
+        let mut chain = self.chain_template(batch_len(batch));
+        self.refresh_sample(sample, &mut chain);
         chain
     }
 
-    /// A `blocks`-sample fused chain of `t_len` layers with zero values.
-    fn chain_template(&self, blocks: usize, t_len: usize) -> JacobianChain<S> {
+    /// A one-sample chain of `t_len` full-pattern layers with zero values.
+    fn chain_template(&self, t_len: usize) -> JacobianChain<S> {
         let h_dim = self.hidden_size();
-        block_template(
-            &Csr::from_dense_pattern(&Matrix::zeros(h_dim, h_dim)),
-            blocks,
-            t_len,
-        )
+        let full = Csr::from_dense_pattern(&Matrix::<S>::zeros(h_dim, h_dim));
+        chain_template(full.pattern(), t_len)
     }
 
-    /// Writes one sample's seed and Jacobian values into block `block`.
+    /// Writes one sample's seed and Jacobian values into `chain`.
     fn refresh_sample(
         &self,
         (_, states, seed, _): &RnnBatchSample<'_, S>,
         chain: &mut JacobianChain<S>,
-        block: usize,
     ) {
-        refresh_block(chain, block, seed.as_slice(), |t, values| {
+        refresh_chain(chain, seed.as_slice(), |t, values| {
             self.fill_hidden_jacobian_values(&states[t], values)
         });
     }
@@ -504,26 +413,21 @@ impl<S: Scalar> VanillaRnn<S> {
     }
 
     /// Adds one sample's parameter gradients (Equation 2) into `grads`,
-    /// reading `∇h_t` from block `block` of `result`'s (possibly
-    /// concatenated) per-timestep gradients — block `k` of a fused
-    /// mini-batch result, block `0` of a per-sample result.
+    /// reading `∇h_t` from its per-sample scan `result`.
     fn accumulate_sample_grads(
         &self,
         bits: &[S],
         states: &RnnStates<S>,
         g_logits: &Vector<S>,
-        result: &bppsa_core::BackwardResult<S>,
-        block: usize,
+        result: &BackwardResult<S>,
         grads: &mut RnnGrads<S>,
     ) {
-        let h_dim = self.hidden_size();
         let last = states.last().expect("nonempty");
         add_outer(&mut grads.d_wout, g_logits.as_slice(), last.as_slice());
         grads.d_bout.axpy(S::ONE, g_logits);
-        let mut g_z = Vector::zeros(h_dim);
+        let mut g_z = Vector::zeros(self.hidden_size());
         for (t, &x) in bits.iter().enumerate() {
-            let g_all = result.grad_x(t + 1);
-            let g_h = &g_all.as_slice()[block * h_dim..(block + 1) * h_dim];
+            let g_h = result.grad_x(t + 1).as_slice();
             self.accumulate_step(t, x, states, g_h, &mut g_z, grads);
         }
     }
@@ -702,97 +606,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_scan_equals_per_sample_sum() {
-        let rnn = tiny_rnn(31);
-        let t = 9;
-        let all_bits: Vec<Vec<f64>> = (0..4).map(|k| bits(t, 32 + k)).collect();
-        let mut batch = Vec::new();
-        let mut expected = None::<RnnGrads<f64>>;
-        let mut stored = Vec::new();
-        for (k, xs) in all_bits.iter().enumerate() {
-            let states = rnn.forward(xs);
-            let (_, seed, g_logits) = rnn.loss_and_seed(&states, k % 3);
-            let per = rnn.backward_bppsa(xs, &states, &seed, &g_logits, BppsaOptions::serial());
-            match &mut expected {
-                None => expected = Some(per),
-                Some(acc) => acc.accumulate(&per),
-            }
-            stored.push((states, seed, g_logits));
-        }
-        for (xs, (states, seed, g_logits)) in all_bits.iter().zip(&stored) {
-            batch.push((xs.as_slice(), states, seed.clone(), g_logits.clone()));
-        }
-        let expected = expected.unwrap();
-
-        // The fused route agrees, and plans once across repeated
-        // executions.
-        let mut engine = BackwardEngine::new();
-        let fused = BackwardMethod::bppsa_fused_planned(BppsaOptions::serial());
-        for round in 0..3 {
-            let planned = rnn
-                .backward_bppsa_batch(&batch, fused, &mut engine)
-                .unwrap();
-            let diff = planned.max_abs_diff(&expected);
-            assert!(diff < 1e-10, "round {round}: diff {diff}");
-        }
-        assert_eq!(engine.plans_built(), 1);
-    }
-
-    #[test]
-    fn served_mixed_length_inference_gradients_match_per_sample_backward() {
-        // The serving-shard scenario: independent requests with three
-        // *different* sequence lengths, all submitted to one shared
-        // service. The router coalesces same-length requests into shared
-        // lanes, and every request's gradients match the per-sample BPPSA
-        // backward.
-        let rnn = tiny_rnn(61);
-        let lengths = [5usize, 9, 13, 9, 5, 13, 9, 5];
-        let all_bits: Vec<Vec<f64>> = lengths
-            .iter()
-            .enumerate()
-            .map(|(k, &t)| bits(t, 62 + k as u64))
-            .collect();
-        let mut stored = Vec::new();
-        let mut expected = Vec::new();
-        for (k, xs) in all_bits.iter().enumerate() {
-            let states = rnn.forward(xs);
-            let (_, seed, g_logits) = rnn.loss_and_seed(&states, k % 3);
-            expected.push(rnn.backward_bppsa(
-                xs,
-                &states,
-                &seed,
-                &g_logits,
-                BppsaOptions::serial(),
-            ));
-            stored.push((states, seed, g_logits));
-        }
-        let requests: Vec<RnnBatchSample<'_, f64>> = all_bits
-            .iter()
-            .zip(&stored)
-            .map(|(xs, (states, seed, g))| (xs.as_slice(), states, seed.clone(), g.clone()))
-            .collect();
-
-        let service = bppsa_serve::BppsaService::<f64>::new(bppsa_serve::ServeConfig {
-            max_batch: 3,
-            max_delay: std::time::Duration::from_micros(300),
-            ..bppsa_serve::ServeConfig::default()
-        });
-        for round in 0..2 {
-            let served = rnn
-                .serve_sample_gradients(&service, &requests)
-                .expect("service accepts all requests");
-            assert_eq!(served.len(), requests.len());
-            for (k, (got, expect)) in served.iter().zip(&expected).enumerate() {
-                let diff = got.max_abs_diff(expect);
-                assert!(diff < 1e-10, "round {round} request {k}: diff {diff}");
-            }
-        }
-        // One lane per distinct sequence length, planned once each.
-        assert_eq!(service.lanes(), 3);
-        assert_eq!(service.lanes_created(), 3);
-    }
-
-    #[test]
     fn pooled_batched_equals_per_sample_sum_and_plans_once() {
         let rnn = tiny_rnn(51);
         let t = 11;
@@ -816,21 +629,17 @@ mod tests {
             .collect();
         let expected = expected.unwrap();
         let mut engine = BackwardEngine::new();
-        let pooled = BackwardMethod::bppsa_pooled_batched(BppsaOptions::serial());
+        let serial = BppsaOptions::serial();
         for round in 0..3 {
-            let grads = rnn
-                .backward_bppsa_batch(&batch, pooled, &mut engine)
-                .unwrap();
+            let grads = rnn.backward_bppsa_batch(&batch, serial, &mut engine);
             let diff = grads.max_abs_diff(&expected);
             assert!(diff < 1e-10, "round {round}: diff {diff}");
         }
         assert_eq!(engine.plans_built(), 1);
 
-        // A smaller "remainder" batch reuses the same plan (same per-sample
-        // shape) — the per-sample route's advantage over the fused one.
-        let remainder = rnn
-            .backward_bppsa_batch(&batch[..2], pooled, &mut engine)
-            .unwrap();
+        // A smaller "remainder" batch reuses the same plan: the per-sample
+        // chain shape does not depend on the batch size.
+        let remainder = rnn.backward_bppsa_batch(&batch[..2], serial, &mut engine);
         assert_eq!(engine.plans_built(), 1);
         let mut expected2 = rnn.backward_bppsa(
             &all_bits[0],
@@ -863,8 +672,8 @@ mod tests {
             (xs1.as_slice(), &s1, seed1, g1),
             (xs2.as_slice(), &s2, seed2, g2),
         ];
-        let fused = BackwardMethod::bppsa_fused_planned(BppsaOptions::serial());
-        let _ = rnn.backward_bppsa_batch(&batch, fused, &mut BackwardEngine::new());
+        let _ =
+            rnn.backward_bppsa_batch(&batch, BppsaOptions::serial(), &mut BackwardEngine::new());
     }
 
     #[test]

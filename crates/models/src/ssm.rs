@@ -17,16 +17,14 @@
 //! [`DiagonalSsm::backward_sequential`] (the BPTT baseline),
 //! [`DiagonalSsm::backward_bppsa`] (per-sample scan) and
 //! [`DiagonalSsm::backward_bppsa_batch`] (a mini-batch through a
-//! [`BackwardEngine`] — on the fused route a block-diagonal of diagonals
-//! is just a wider diagonal, so the fused chain *stays on the fast path*).
-//! Training routes through [`BackwardMethod`] via
+//! [`BackwardEngine`], one diagonal chain per sample on the fast path).
+//! Training routes through
+//! [`BackwardMethod`](crate::train::BackwardMethod) via
 //! [`ssm_batch_step`](crate::train::ssm_batch_step).
 
 use crate::engine::{
-    add_outer, block_template, common_len, refresh_block, sum_in_order, BackwardEngine,
+    add_outer, chain_template, common_len, refresh_chain, sum_in_order, BackwardEngine,
 };
-use crate::served::ServedSubmitError;
-use crate::train::BackwardMethod;
 use bppsa_core::{bppsa_backward, BackwardResult, BppsaOptions, JacobianChain};
 use bppsa_ops::SoftmaxCrossEntropy;
 use bppsa_sparse::Csr;
@@ -250,33 +248,26 @@ impl<S: Scalar> DiagonalSsm<S> {
     /// Jacobians `diag(a_t)` sharing one CSR pattern — the shape the
     /// planner compiles into the elementwise scan program.
     pub fn build_chain(&self, states: &SsmStates<S>, seed: &Vector<S>) -> JacobianChain<S> {
-        let mut chain = self.chain_template(1, states.len());
-        Self::refresh_sample(states, seed, &mut chain, 0);
+        let mut chain = self.chain_template(states.len());
+        Self::refresh_sample(states, seed, &mut chain);
         chain
     }
 
-    /// A `blocks`-sample chain of `t_len` diagonal layers with zero values:
-    /// the block-diagonal of diagonals is one wide diagonal.
-    fn chain_template(&self, blocks: usize, t_len: usize) -> JacobianChain<S> {
+    /// A chain of `t_len` diagonal layers with zero values.
+    fn chain_template(&self, t_len: usize) -> JacobianChain<S> {
         let ones = vec![S::ONE; self.hidden_size()];
-        block_template(&Csr::from_diagonal(&ones), blocks, t_len)
+        chain_template(Csr::from_diagonal(&ones).pattern(), t_len)
     }
 
-    /// Writes one sample's seed and gates into block `block`: a diagonal
+    /// Writes one sample's seed and gates into `chain`: a diagonal
     /// element's values *are* the gate vector.
-    fn refresh_sample(
-        states: &SsmStates<S>,
-        seed: &Vector<S>,
-        chain: &mut JacobianChain<S>,
-        block: usize,
-    ) {
-        refresh_block(chain, block, seed.as_slice(), |t, values| {
+    fn refresh_sample(states: &SsmStates<S>, seed: &Vector<S>, chain: &mut JacobianChain<S>) {
+        refresh_chain(chain, seed.as_slice(), |t, values| {
             values.copy_from_slice(states.a(t))
         });
     }
 
-    /// One timestep's parameter contributions from `∇h_t` (a slice so the
-    /// fused path can pass one sample's lanes of a wide batched gradient):
+    /// One timestep's parameter contributions from `∇h_t`:
     /// `∇u += ∇h_t·x_t`, and through `a_t = tanh(z_t)` with
     /// `∂h_t/∂a_t = h_{t−1}` (zero at `t = 0`): `∇λ += ∇h_t ⊙ h_{t−1} ⊙
     /// (1 − a_t²)` and `∇g += x_t·` the same.
@@ -303,23 +294,20 @@ impl<S: Scalar> DiagonalSsm<S> {
         }
     }
 
-    /// Accumulates one sample's parameter gradients from a scan result
-    /// whose lanes `[offset, offset + hidden)` carry this sample's `∇h_t`.
+    /// Accumulates one sample's parameter gradients from its scan result.
     fn accumulate_sample_grads(
         &self,
         xs: &[S],
         states: &SsmStates<S>,
         g_logits: &Vector<S>,
         result: &BackwardResult<S>,
-        offset: usize,
         grads: &mut SsmGrads<S>,
     ) {
-        let h_dim = self.hidden_size();
         add_outer(&mut grads.d_wout, g_logits.as_slice(), states.last_h());
         grads.d_bout.axpy(S::ONE, g_logits);
         for (t, &x) in xs.iter().enumerate() {
             // grads()[i] = ∇x_{i+1} where x_{i+1} = h_i → ∇h_t = grad_x(t+1).
-            let g_h = &result.grad_x(t + 1).as_slice()[offset..offset + h_dim];
+            let g_h = result.grad_x(t + 1).as_slice();
             self.accumulate_step(t, x, states, g_h, grads);
         }
     }
@@ -375,33 +363,27 @@ impl<S: Scalar> DiagonalSsm<S> {
         let chain = self.build_chain(states, seed);
         let result = bppsa_backward(&chain, opts);
         let mut grads = SsmGrads::zeros(self.hidden_size(), self.num_classes());
-        self.accumulate_sample_grads(xs, states, g_logits, &result, 0, &mut grads);
+        self.accumulate_sample_grads(xs, states, g_logits, &result, &mut grads);
         grads
     }
 
-    /// Batched BPPSA through a [`BackwardEngine`]: `method` picks the
-    /// fused route (one `B·hidden`-lane diagonal chain, still on the
-    /// elementwise fast path), the per-sample route (one chain each over
-    /// pooled workspaces) or the served route (whose lane warm-up compiles
-    /// the same elementwise program). Per-sample partials are summed in
-    /// sample order, so every route returns the same bits as summing
-    /// [`DiagonalSsm::backward_bppsa`] over the batch in order.
-    ///
-    /// # Errors
-    ///
-    /// [`ServedSubmitError`] when the served route's service refuses a
-    /// request past its retry budget; the batch can be run again.
+    /// Batched BPPSA through a [`BackwardEngine`]: one diagonal chain per
+    /// sample, all on one plan built with `opts` (the elementwise program
+    /// under the default [`DiagonalMode::Auto`](bppsa_core::DiagonalMode)).
+    /// Per-sample partials are summed in sample order, so the result's bits
+    /// do not depend on the executor; under the linear diagonal kernel they
+    /// equal summing [`DiagonalSsm::backward_bppsa`] over the batch in
+    /// order.
     ///
     /// # Panics
     ///
-    /// Panics if the batch is empty, sequences have unequal lengths, or
-    /// `method` is not a batch route (see [`BackwardEngine::scan`]).
+    /// Panics if the batch is empty or sequences have unequal lengths.
     pub fn backward_bppsa_batch(
         &self,
         batch: &[SsmBatchSample<'_, S>],
-        method: BackwardMethod,
+        opts: BppsaOptions,
         engine: &mut BackwardEngine<S>,
-    ) -> Result<SsmGrads<S>, ServedSubmitError> {
+    ) -> SsmGrads<S> {
         let t_len = common_len(
             batch
                 .iter()
@@ -409,26 +391,19 @@ impl<S: Scalar> DiagonalSsm<S> {
         );
         let h_dim = self.hidden_size();
         let partials = engine.run(
-            method,
+            opts,
             (t_len, h_dim),
             batch.len(),
-            |blocks| self.chain_template(blocks, t_len),
-            |k, chain, block| Self::refresh_sample(batch[k].1, &batch[k].2, chain, block),
-            |k, result, block| {
+            || self.chain_template(t_len),
+            |k, chain| Self::refresh_sample(batch[k].1, &batch[k].2, chain),
+            |k, result| {
                 let (xs, states, _, g_logits) = &batch[k];
                 let mut grads = SsmGrads::zeros(h_dim, self.num_classes());
-                self.accumulate_sample_grads(
-                    xs,
-                    states,
-                    g_logits,
-                    result,
-                    block * h_dim,
-                    &mut grads,
-                );
+                self.accumulate_sample_grads(xs, states, g_logits, result, &mut grads);
                 grads
             },
-        )?;
-        Ok(sum_in_order(partials, SsmGrads::accumulate))
+        );
+        sum_in_order(partials, SsmGrads::accumulate)
     }
 
     /// [`DiagonalSsm::backward_bppsa_batch`] on the per-sample route. Kept
@@ -439,9 +414,7 @@ impl<S: Scalar> DiagonalSsm<S> {
         opts: BppsaOptions,
         engine: &mut BackwardEngine<S>,
     ) -> SsmGrads<S> {
-        let method = BackwardMethod::BppsaPooled { opts };
-        self.backward_bppsa_batch(batch, method, engine)
-            .expect("the per-sample route never refuses")
+        self.backward_bppsa_batch(batch, opts, engine)
     }
 
     /// All parameters flattened (decay, gate, inject, `W_out`, `b_out`) —
@@ -587,49 +560,10 @@ mod tests {
     }
 
     #[test]
-    fn fused_batch_is_one_wide_diagonal_scan() {
-        let rng = &mut seeded_rng(4);
-        let ssm = DiagonalSsm::<f64>::new(7, 3, rng);
-        let raw: Vec<RawSample> = (0..3)
-            .map(|k| {
-                let xs = sample_inputs(rng, 29);
-                let states = ssm.forward(&xs);
-                let (_, seed, g_logits) = ssm.loss_and_seed(&states, k);
-                (xs, states, seed, g_logits)
-            })
-            .collect();
-        let batch: Vec<SsmBatchSample<'_, f64>> = raw
-            .iter()
-            .map(|(xs, st, s, g)| (xs.as_slice(), st, s.clone(), g.clone()))
-            .collect();
-        // The 3·7-lane fused chain still plans to the elementwise program.
-        let method = BackwardMethod::bppsa_fused_planned(BppsaOptions::serial());
-        let fused = ssm
-            .backward_bppsa_batch(&batch, method, &mut BackwardEngine::new())
-            .unwrap();
-        // Reference: per-sample scans summed in batch order — the linear
-        // kernel runs each fused lane through the identical expression
-        // tree, so the match is bit-for-bit.
-        let mut reference: Option<SsmGrads<f64>> = None;
-        for (xs, states, seed, g_logits) in &raw {
-            let g = ssm.backward_bppsa(xs, states, seed, g_logits, BppsaOptions::serial());
-            match &mut reference {
-                None => reference = Some(g),
-                Some(acc) => acc.accumulate(&g),
-            }
-        }
-        let reference = reference.unwrap();
-        for (a, b) in fused.flat().iter().zip(&reference.flat()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "{a:e} vs {b:e}");
-        }
-    }
-
-    #[test]
-    fn pooled_and_served_batches_match_the_per_sample_sum() {
+    fn batches_match_the_per_sample_sum_bit_for_bit() {
         let rng = &mut seeded_rng(5);
         let ssm = DiagonalSsm::<f64>::new(9, 4, rng);
         let mut engine = BackwardEngine::new();
-        let pooled_route = BackwardMethod::bppsa_pooled_batched(BppsaOptions::serial());
         for round in 0..2 {
             let raw: Vec<RawSample> = (0..4)
                 .map(|k| {
@@ -643,6 +577,9 @@ mod tests {
                 .iter()
                 .map(|(xs, st, s, g)| (xs.as_slice(), st, s.clone(), g.clone()))
                 .collect();
+            // Reference: per-sample scans summed in batch order. The batch
+            // sums the same per-sample partials in the same order, on
+            // either executor, so the match is bit-for-bit.
             let mut reference: Option<SsmGrads<f64>> = None;
             for (xs, states, seed, g_logits) in &raw {
                 let g = ssm.backward_bppsa(xs, states, seed, g_logits, BppsaOptions::serial());
@@ -652,29 +589,19 @@ mod tests {
                 }
             }
             let reference = reference.unwrap();
-
-            let pooled = ssm
-                .backward_bppsa_batch(&batch, pooled_route, &mut engine)
-                .unwrap();
-            let diff = pooled.max_abs_diff(&reference);
-            assert!(diff < 1e-10, "round {round}: pooled diff {diff}");
-            // The per-sample plan took the fast path under the default
-            // options.
-            let plan = engine.plan().expect("planned");
-            assert!(plan.diagonal_kernel().is_some());
-
-            // Served partials are summed in batch order: bit-for-bit with
-            // the reference sum.
-            let served = ssm
-                .backward_bppsa_batch(&batch, BackwardMethod::bppsa_served(), &mut engine)
-                .expect("owned service accepts");
-            for (a, b) in served.flat().iter().zip(&reference.flat()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "round {round}: {a:e} vs {b:e}");
+            for opts in [BppsaOptions::serial(), BppsaOptions::pooled()] {
+                let batched = ssm.backward_bppsa_batch(&batch, opts, &mut engine);
+                for (a, b) in batched.flat().iter().zip(&reference.flat()) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "round {round}: {a:e} vs {b:e}");
+                }
+                // The per-sample plan took the fast path under the default
+                // options.
+                let plan = engine.plan().expect("planned");
+                assert!(plan.diagonal_kernel().is_some());
             }
         }
-        // One shape, one plan, one lane.
-        assert_eq!(engine.plans_built(), 1);
-        assert_eq!(engine.lanes_built(), 1);
+        // One shape, one plan per executor.
+        assert_eq!(engine.plans_built(), 2);
     }
 
     #[test]

@@ -17,10 +17,11 @@ use std::time::Instant;
 
 /// Which backward path a training loop uses.
 ///
-/// The last three variants are the batch routes of a [`BackwardEngine`],
-/// which recurrent loops run through their models' batch methods (e.g.
-/// [`VanillaRnn::backward_bppsa_batch`]). Feed-forward loops treat them as
-/// [`BackwardMethod::Bppsa`] with sparse Jacobians.
+/// [`BackwardMethod::BppsaPooled`] is the batch route of a
+/// [`BackwardEngine`], which recurrent loops run through their models'
+/// batch methods (e.g. [`VanillaRnn::backward_bppsa_batch`]).
+/// Feed-forward loops treat it as [`BackwardMethod::Bppsa`] with sparse
+/// Jacobians.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackwardMethod {
     /// Classic back-propagation (the PyTorch-Autograd/cuDNN baseline).
@@ -32,30 +33,23 @@ pub enum BackwardMethod {
         /// Jacobian representation.
         repr: JacobianRepr,
     },
-    /// The engine's fused route: the whole mini-batch is one block-diagonal
-    /// (or wide-diagonal) chain, symbolically planned once per batch shape
-    /// (§3.3 hoisting over the whole training run); every iteration
-    /// refreshes the reused chain in place and re-executes the
-    /// numeric-only program over a reused, allocation-free workspace.
+    /// The former fused route's name: runs exactly as
+    /// [`BackwardMethod::BppsaPooled`] with the same options. Kept only for
+    /// the benchmark (`perfbench/`), which matches on it.
     BppsaFusedPlanned {
-        /// Scan execution options.
+        /// Scan options, as for [`BackwardMethod::BppsaPooled`].
         opts: BppsaOptions,
     },
-    /// The engine's per-sample route: one chain per sample, all executing
-    /// a single compiled plan concurrently over a workspace pool. The plan
-    /// is batch-size independent, so remainder batches reuse it.
+    /// The engine's batch route: one chain per sample, all executing one
+    /// compiled plan concurrently over a workspace pool. The plan is built
+    /// with exactly `opts` and is batch-size independent, so remainder
+    /// batches reuse it: the symbolic work is done once per run (§3.3), and
+    /// every later step re-executes the numeric-only program over reused,
+    /// allocation-free workspaces.
     BppsaPooled {
-        /// Scan options; the plan keeps all but the executor and the
-        /// segment count, since the fan-out across samples is the
-        /// parallelism.
+        /// Scan options of the per-sample plan.
         opts: BppsaOptions,
     },
-    /// The engine's served route: per-sample chains submitted as
-    /// independent requests to a [`BppsaService`](bppsa_serve::BppsaService)
-    /// and coalesced by its deadline micro-batcher — training traffic
-    /// exercising exactly the serving path. The front door plans each lane
-    /// itself ([`lane_plan_options`](bppsa_serve::lane_plan_options)).
-    BppsaServed,
 }
 
 impl BackwardMethod {
@@ -76,32 +70,20 @@ impl BackwardMethod {
         }
     }
 
-    /// The fused route (recurrent loops only): one block-diagonal scan per
-    /// mini-batch, planned once per batch shape — the steady-state fast
-    /// path for training.
-    pub fn bppsa_fused_planned(opts: BppsaOptions) -> Self {
-        BackwardMethod::BppsaFusedPlanned { opts }
-    }
-
-    /// The per-sample route (recurrent loops only): per-sample scans of one
-    /// compiled plan, fanned concurrently over pooled workspaces.
+    /// The engine's batch route (recurrent loops only): per-sample scans
+    /// of one compiled plan, fanned concurrently over pooled workspaces.
     pub fn bppsa_pooled_batched(opts: BppsaOptions) -> Self {
         BackwardMethod::BppsaPooled { opts }
     }
 
-    /// The served route (recurrent loops only): per-sample requests routed
-    /// through the `bppsa-serve` deadline micro-batching front door.
-    pub fn bppsa_served() -> Self {
-        BackwardMethod::BppsaServed
-    }
-
-    /// Segment-parallel fused BPPSA for deep chains (recurrent loops only):
-    /// the compiled plan is split into `k` exact segments executed
-    /// concurrently on worker groups carved from the pool, stitched at
-    /// schedule-block interfaces — bit-for-bit identical to the
-    /// unsegmented plan.
+    /// The batch route for deep chains (recurrent loops only): each
+    /// sample's plan is split into `k` exact segments executed concurrently
+    /// on worker groups carved from the pool, stitched at schedule-block
+    /// interfaces — bit-for-bit identical to the unsegmented plan of the
+    /// same schedule. With one sample per batch, the segments get the
+    /// whole pool.
     pub fn bppsa_segmented(k: usize) -> Self {
-        BackwardMethod::BppsaFusedPlanned {
+        BackwardMethod::BppsaPooled {
             opts: BppsaOptions::pooled().segmented(k),
         }
     }
@@ -222,9 +204,6 @@ pub fn network_batch_step<S: Scalar>(
             BackwardMethod::BppsaFusedPlanned { opts } | BackwardMethod::BppsaPooled { opts } => {
                 net.backward_bppsa(&tape, &seed, JacobianRepr::Sparse, opts)
             }
-            BackwardMethod::BppsaServed => {
-                net.backward_bppsa(&tape, &seed, JacobianRepr::Sparse, BppsaOptions::serial())
-            }
         };
         backward_s += t0.elapsed().as_secs_f64();
 
@@ -343,9 +322,8 @@ fn recurrent_step<S: Scalar, St: Send, G>(
 /// batch-mean gradient.
 ///
 /// [`BackwardMethod::Bp`] and [`BackwardMethod::Bppsa`] run per sample;
-/// the batch routes run on `engine`, which plans once per shape across the
-/// calls that share it. The training loop owns the engine's service, so a
-/// served refusal is fatal here.
+/// the batch route runs on `engine`, which plans once per shape and options
+/// across the calls that share it.
 pub fn rnn_batch_step<S: Scalar>(
     rnn: &VanillaRnn<S>,
     data: &BitstreamDataset<S>,
@@ -368,9 +346,9 @@ pub fn rnn_batch_step<S: Scalar>(
                 .map(|(xs, st, seed, g)| rnn.backward_bppsa(xs, st, seed, g, opts)),
             RnnGrads::accumulate,
         ),
-        route => rnn
-            .backward_bppsa_batch(batch, route, engine)
-            .unwrap_or_else(|e| panic!("served training backward: {e}")),
+        BackwardMethod::BppsaFusedPlanned { opts } | BackwardMethod::BppsaPooled { opts } => {
+            rnn.backward_bppsa_batch(batch, opts, engine)
+        }
     })
 }
 
@@ -397,8 +375,8 @@ pub fn train_rnn<S: Scalar>(
     epochs: usize,
     max_iterations: Option<usize>,
 ) -> TrainLog {
-    // One engine for the whole run: the batch routes do their symbolic
-    // work once per shape.
+    // One engine for the whole run: the batch route does its symbolic work
+    // once per shape.
     let mut engine = BackwardEngine::new();
     let batches = data.batches(batch_size).collect();
     train_loop(batches, epochs, max_iterations, |range| {
@@ -427,9 +405,9 @@ pub fn evaluate_rnn<S: Scalar>(rnn: &VanillaRnn<S>, data: &BitstreamDataset<S>) 
 /// Runs one [`DiagonalSsm`] mini-batch step on the bitstream task, like
 /// [`rnn_batch_step`]: [`BackwardMethod::Bp`] runs
 /// [`DiagonalSsm::backward_sequential`] and [`BackwardMethod::Bppsa`]
-/// [`DiagonalSsm::backward_bppsa`] per sample; the batch routes run
-/// [`DiagonalSsm::backward_bppsa_batch`] on `engine`, where every route
-/// rides the planner's diagonal fast path.
+/// [`DiagonalSsm::backward_bppsa`] per sample; the batch route runs
+/// [`DiagonalSsm::backward_bppsa_batch`] on `engine`, on the planner's
+/// diagonal fast path.
 pub fn ssm_batch_step<S: Scalar>(
     ssm: &DiagonalSsm<S>,
     data: &BitstreamDataset<S>,
@@ -452,9 +430,9 @@ pub fn ssm_batch_step<S: Scalar>(
                 .map(|(xs, st, seed, g)| ssm.backward_bppsa(xs, st, seed, g, opts)),
             SsmGrads::accumulate,
         ),
-        route => ssm
-            .backward_bppsa_batch(batch, route, engine)
-            .unwrap_or_else(|e| panic!("served SSM training backward: {e}")),
+        BackwardMethod::BppsaFusedPlanned { opts } | BackwardMethod::BppsaPooled { opts } => {
+            ssm.backward_bppsa_batch(batch, opts, engine)
+        }
     })
 }
 
@@ -561,36 +539,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_planned_training_matches_bptt_and_plans_once() {
-        // The workspace-backed steady-state path (Fig. 9 shape): identical
-        // trajectory to BPTT, with the symbolic phase hoisted out of the
-        // whole run.
-        let data = BitstreamDataset::<f32>::generate(24, 12, 77);
-        let run = |method: BackwardMethod| {
-            let mut rnn = VanillaRnn::<f32>::new(1, 6, 10, &mut seeded_rng(78));
-            let mut opt = Adam::new(0.005);
-            train_rnn(&mut rnn, &data, &mut opt, method, 6, 4, None)
-        };
-        let bptt = run(BackwardMethod::Bp);
-        let planned = run(BackwardMethod::bppsa_fused_planned(BppsaOptions::serial()));
-        assert!(bptt.max_loss_gap(&planned) < 1e-3);
-
-        // And the plan really is built once across a steady-shape run.
-        let rnn = VanillaRnn::<f32>::new(1, 6, 10, &mut seeded_rng(79));
-        let mut state = BackwardEngine::<f32>::new();
-        for _ in 0..3 {
-            let _ = rnn_batch_step(
-                &rnn,
-                &data,
-                0..6,
-                BackwardMethod::bppsa_fused_planned(BppsaOptions::serial()),
-                &mut state,
-            );
-        }
-        assert_eq!(state.plans_built(), 1);
-    }
-
-    #[test]
     fn segmented_training_matches_bptt_on_deep_chains() {
         // A longer unroll hands the segment stitcher real schedule blocks
         // to split; the trajectory must still track BPTT exactly as
@@ -606,7 +554,7 @@ mod tests {
         assert!(bptt.max_loss_gap(&segmented) < 1e-3);
 
         // The deep-chain route really requests a segmented pooled plan.
-        let BackwardMethod::BppsaFusedPlanned { opts } = BackwardMethod::bppsa_segmented(4) else {
+        let BackwardMethod::BppsaPooled { opts } = BackwardMethod::bppsa_segmented(4) else {
             unreachable!()
         };
         assert_eq!(opts.segments, 4);
@@ -614,9 +562,11 @@ mod tests {
 
     #[test]
     fn pooled_batched_training_matches_bptt_and_plans_once_with_remainder() {
+        // The steady-state path (Fig. 9 shape): the same trajectory as
+        // BPTT, with the symbolic phase hoisted out of the whole run.
         // 20 samples at batch 6 → per-epoch batches of 6, 6, 6, 2. The
-        // pooled path's per-sample plan is batch-size independent, so the
-        // remainder batch reuses the full batch's plan: one plan total.
+        // per-sample plan is batch-size independent, so the remainder
+        // batch reuses the full batch's plan: one plan total.
         let data = BitstreamDataset::<f32>::generate(20, 12, 91);
         let run = |method: BackwardMethod| {
             let mut rnn = VanillaRnn::<f32>::new(1, 6, 10, &mut seeded_rng(92));
@@ -639,68 +589,6 @@ mod tests {
     }
 
     #[test]
-    fn served_training_matches_bptt_and_builds_one_lane_with_remainder() {
-        // The pooled strategy routed through the bppsa-serve front door:
-        // identical trajectory (the optimizer consumes the batch sum, and
-        // the service executes the same compiled per-sample plan), and the
-        // whole run — 20 samples at batch 6 → per-epoch batches of
-        // 6, 6, 6, 2 — builds exactly one service lane, because the
-        // per-sample shape is batch-size independent.
-        let data = BitstreamDataset::<f32>::generate(20, 12, 95);
-        let run = |method: BackwardMethod| {
-            let mut rnn = VanillaRnn::<f32>::new(1, 6, 10, &mut seeded_rng(96));
-            let mut opt = Adam::new(0.005);
-            train_rnn(&mut rnn, &data, &mut opt, method, 6, 3, None)
-        };
-        let bptt = run(BackwardMethod::Bp);
-        let served = run(BackwardMethod::bppsa_served());
-        assert!(bptt.max_loss_gap(&served) < 1e-3);
-
-        let rnn = VanillaRnn::<f32>::new(1, 6, 10, &mut seeded_rng(97));
-        let mut state = BackwardEngine::<f32>::new();
-        for _epoch in 0..3 {
-            for range in data.batches(6).collect::<Vec<_>>() {
-                let _ = rnn_batch_step(
-                    &rnn,
-                    &data,
-                    range,
-                    BackwardMethod::bppsa_served(),
-                    &mut state,
-                );
-            }
-        }
-        assert_eq!(state.lanes_built(), 1);
-    }
-
-    #[test]
-    fn served_and_pooled_batch_steps_agree() {
-        // Same per-sample plans, and both routes sum the per-sample
-        // partials in sample order after the fan-out: the served step
-        // reproduces the per-sample step's gradients bit for bit.
-        let data = BitstreamDataset::<f32>::generate(12, 10, 98);
-        let rnn = VanillaRnn::<f32>::new(1, 6, 10, &mut seeded_rng(99));
-        let mut pooled_state = BackwardEngine::<f32>::new();
-        let mut served_state = BackwardEngine::<f32>::new();
-        let (pooled_loss, pooled_grads, _) = rnn_batch_step(
-            &rnn,
-            &data,
-            0..6,
-            BackwardMethod::bppsa_pooled_batched(BppsaOptions::serial()),
-            &mut pooled_state,
-        );
-        let (served_loss, served_grads, _) = rnn_batch_step(
-            &rnn,
-            &data,
-            0..6,
-            BackwardMethod::bppsa_served(),
-            &mut served_state,
-        );
-        assert_eq!(pooled_loss.to_bits(), served_loss.to_bits());
-        let bits = |g: &RnnGrads<f32>| g.flat().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&pooled_grads), bits(&served_grads));
-    }
-
-    #[test]
     fn ssm_training_loss_decreases() {
         let data = BitstreamDataset::<f32>::generate(64, 24, 105);
         let mut ssm = DiagonalSsm::<f32>::new(12, 10, &mut seeded_rng(106));
@@ -716,9 +604,8 @@ mod tests {
 
     #[test]
     fn ssm_training_methods_share_the_trajectory() {
-        // The diagonal-recurrence workload through every backward route:
-        // identical loss trajectories (the per-sample chains and the wide
-        // fused chain all compute the same scan).
+        // The diagonal-recurrence workload through every backward path:
+        // identical loss trajectories (every path computes the same scan).
         let data = BitstreamDataset::<f32>::generate(20, 24, 101);
         let run = |method: BackwardMethod| {
             let mut ssm = DiagonalSsm::<f32>::new(8, 10, &mut seeded_rng(102));
@@ -728,9 +615,8 @@ mod tests {
         let sequential = run(BackwardMethod::Bp);
         for method in [
             BackwardMethod::bppsa_threaded(2),
-            BackwardMethod::bppsa_fused_planned(BppsaOptions::serial()),
             BackwardMethod::bppsa_pooled_batched(BppsaOptions::serial()),
-            BackwardMethod::bppsa_served(),
+            BackwardMethod::bppsa_pooled_batched(BppsaOptions::pooled()),
         ] {
             let gap = sequential.max_loss_gap(&run(method));
             assert!(gap < 1e-3, "{method:?} diverged by {gap}");
@@ -738,50 +624,22 @@ mod tests {
     }
 
     #[test]
-    fn ssm_batched_runs_stay_on_one_diagonal_plan_and_lane() {
+    fn ssm_batched_runs_stay_on_one_diagonal_plan() {
         // 20 samples at batch 6 → per-epoch batches of 6, 6, 6, 2. The
-        // per-sample chain shape is batch-size independent, so the pooled
-        // path plans once and the served path builds one lane — and that
-        // single pooled plan compiled the diagonal fast path.
+        // per-sample chain shape is batch-size independent, so the run
+        // plans once, and that plan compiled the diagonal fast path.
         let data = BitstreamDataset::<f32>::generate(20, 24, 103);
         let ssm = DiagonalSsm::<f32>::new(8, 10, &mut seeded_rng(104));
-        for method in [
-            BackwardMethod::bppsa_pooled_batched(BppsaOptions::serial()),
-            BackwardMethod::bppsa_served(),
-        ] {
-            let mut state = BackwardEngine::<f32>::new();
-            for _epoch in 0..3 {
-                for range in data.batches(6).collect::<Vec<_>>() {
-                    let _ = ssm_batch_step(&ssm, &data, range, method, &mut state);
-                }
-            }
-            match method {
-                BackwardMethod::BppsaPooled { .. } => {
-                    assert_eq!(state.plans_built(), 1);
-                    let plan = state.plan().expect("planned");
-                    assert!(plan.diagonal_kernel().is_some());
-                }
-                _ => assert_eq!(state.lanes_built(), 1),
-            }
-        }
-    }
-
-    #[test]
-    fn fused_planned_remainder_batches_plan_each_shape_once() {
-        // 20 samples at batch 6 → per-epoch batches of 6, 6, 6, 2: the
-        // full and remainder shapes must each plan once, with no
-        // re-planning across epochs.
-        let data = BitstreamDataset::<f32>::generate(20, 10, 81);
-        let rnn = VanillaRnn::<f32>::new(1, 5, 10, &mut seeded_rng(82));
+        let method = BackwardMethod::bppsa_pooled_batched(BppsaOptions::serial());
         let mut state = BackwardEngine::<f32>::new();
-        let method = BackwardMethod::bppsa_fused_planned(BppsaOptions::serial());
         for _epoch in 0..3 {
             for range in data.batches(6).collect::<Vec<_>>() {
-                let _ = rnn_batch_step(&rnn, &data, range, method, &mut state);
+                let _ = ssm_batch_step(&ssm, &data, range, method, &mut state);
             }
         }
-        assert_eq!(state.plans_built(), 2);
-        assert_eq!(state.cached_plans(), 2);
+        assert_eq!(state.plans_built(), 1);
+        let plan = state.plan().expect("planned");
+        assert!(plan.diagonal_kernel().is_some());
     }
 
     #[test]

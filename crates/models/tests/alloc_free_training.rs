@@ -1,9 +1,9 @@
 //! Tier-1 allocation-behavior test for the *training* hot path: after
 //! warm-up, a [`BackwardEngine`] scan (in-place chain refresh + planned
-//! scan) must be allocation-free on both the fused route and the
-//! per-sample route — not just the scan kernels, but the per-iteration
-//! chain handling and the fan-out too. The model's Equation 2 accumulation
-//! around it must not allocate per timestep: a per-sample-route
+//! scan) must be allocation-free with a serial-executor and a
+//! pooled-executor per-sample plan — not just the scan kernels, but the
+//! per-iteration chain handling and the fan-out too. The model's Equation 2
+//! accumulation around it must not allocate per timestep: a
 //! [`VanillaRnn::backward_bppsa_batch`] call makes as many allocations at
 //! `T = 48` as at `T = 24`.
 //!
@@ -11,8 +11,7 @@
 //! counters.
 
 use bppsa_core::{BackwardResult, BppsaOptions, JacobianChain};
-use bppsa_models::train::BackwardMethod;
-use bppsa_models::{refresh_block, BackwardEngine, BitstreamDataset, RnnBatchSample, VanillaRnn};
+use bppsa_models::{refresh_chain, BackwardEngine, BitstreamDataset, RnnBatchSample, VanillaRnn};
 use bppsa_tensor::init::seeded_rng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -46,8 +45,8 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-/// Allocations of one steady-state per-sample-route
-/// [`VanillaRnn::backward_bppsa_batch`] call on `t_len`-step sequences.
+/// Allocations of one steady-state [`VanillaRnn::backward_bppsa_batch`]
+/// call on `t_len`-step sequences.
 fn batch_backward_allocations(rnn: &VanillaRnn<f64>, t_len: usize) -> u64 {
     let data = BitstreamDataset::<f64>::generate(6, t_len, 5);
     let owned: Vec<_> = (0..6)
@@ -62,18 +61,17 @@ fn batch_backward_allocations(rnn: &VanillaRnn<f64>, t_len: usize) -> u64 {
         .iter()
         .map(|(bits, states, seed, g)| (bits.as_slice(), states, seed.clone(), g.clone()))
         .collect();
-    let method = BackwardMethod::bppsa_pooled_batched(BppsaOptions::serial());
+    let opts = BppsaOptions::serial();
     let mut engine = BackwardEngine::<f64>::new();
     for _ in 0..2 {
-        rnn.backward_bppsa_batch(&batch, method, &mut engine)
-            .unwrap();
+        rnn.backward_bppsa_batch(&batch, opts, &mut engine);
     }
     ALLOCS.store(0, Ordering::SeqCst);
     TRACKING.store(true, Ordering::SeqCst);
-    let grads = rnn.backward_bppsa_batch(&batch, method, &mut engine);
+    let grads = rnn.backward_bppsa_batch(&batch, opts, &mut engine);
     TRACKING.store(false, Ordering::SeqCst);
     let allocs = ALLOCS.load(Ordering::SeqCst);
-    grads.unwrap();
+    drop(grads);
     allocs
 }
 
@@ -97,49 +95,43 @@ fn steady_state_engine_scan_is_allocation_free() {
         .map(|(bits, states, seed, g)| (bits.as_slice(), states, seed.clone(), g.clone()))
         .collect();
     let key = (24, rnn.hidden_size());
-    let build = |blocks: usize| rnn.build_batched_chain(&batch[..blocks]);
-    let refresh = |k: usize, chain: &mut JacobianChain<f64>, block: usize| {
+    let build = || rnn.build_batched_chain(&batch[..1]);
+    let refresh = |k: usize, chain: &mut JacobianChain<f64>| {
         let (_, states, seed, _) = &batch[k];
-        refresh_block(chain, block, seed.as_slice(), |t, values| {
+        refresh_chain(chain, seed.as_slice(), |t, values| {
             rnn.fill_hidden_jacobian_values(&states[t], values)
         });
     };
     // Pre-sized sinks: the first gradient of every sample, kept to check
     // the counted run still computed the right values.
     let sinks: Vec<Mutex<f64>> = (0..batch.len()).map(|_| Mutex::new(0.0)).collect();
-    let h = rnn.hidden_size();
-    let record = |k: usize, result: &BackwardResult<f64>, block: usize| {
-        *sinks[k].lock().unwrap() = result.grad_x(1).as_slice()[block * h];
+    let record = |k: usize, result: &BackwardResult<f64>| {
+        *sinks[k].lock().unwrap() = result.grad_x(1).as_slice()[0];
     };
 
     let mut engine = BackwardEngine::<f64>::new();
-    for method in [
-        BackwardMethod::bppsa_fused_planned(BppsaOptions::serial()),
-        BackwardMethod::bppsa_pooled_batched(BppsaOptions::serial()),
-    ] {
+    for opts in [BppsaOptions::serial(), BppsaOptions::pooled()] {
         // Warm-up: builds the chains, the plan and the workspaces.
         for _ in 0..2 {
-            engine
-                .scan(method, key, batch.len(), build, refresh, &record)
-                .unwrap();
+            engine.scan(opts, key, batch.len(), build, refresh, &record);
         }
         let reference: Vec<f64> = sinks.iter().map(|s| *s.lock().unwrap()).collect();
         sinks.iter().for_each(|s| *s.lock().unwrap() = f64::NAN);
 
         ALLOCS.store(0, Ordering::SeqCst);
         TRACKING.store(true, Ordering::SeqCst);
-        let outcome = engine.scan(method, key, batch.len(), build, refresh, &record);
+        engine.scan(opts, key, batch.len(), build, refresh, &record);
         TRACKING.store(false, Ordering::SeqCst);
         let allocs = ALLOCS.load(Ordering::SeqCst);
-        outcome.unwrap();
         assert_eq!(
             allocs, 0,
-            "{method:?}: steady-state engine scan (refresh + scan) must not allocate"
+            "{:?} executor: steady-state engine scan (refresh + scan) must not allocate",
+            opts.executor
         );
 
         // Still correct after the counted run.
         let counted: Vec<f64> = sinks.iter().map(|s| *s.lock().unwrap()).collect();
-        assert_eq!(counted, reference, "{method:?}");
+        assert_eq!(counted, reference, "{:?} executor", opts.executor);
     }
     assert_eq!(engine.plans_built(), 2);
 
@@ -149,8 +141,5 @@ fn steady_state_engine_scan_is_allocation_free() {
         batch_backward_allocations(&rnn, 24),
         batch_backward_allocations(&rnn, 48),
     );
-    assert_eq!(
-        short, long,
-        "per-sample-route backward_bppsa_batch allocates per timestep"
-    );
+    assert_eq!(short, long, "backward_bppsa_batch allocates per timestep");
 }

@@ -1,22 +1,21 @@
-//! The batch routes of one [`BackwardEngine`] are one algorithm on three
-//! schedules, so they must return the same gradient bits: the fused route
-//! (one block-diagonal or wide-diagonal chain), the per-sample route (one
-//! chain per sample over pooled workspaces) and the served route (one
-//! request per sample). Each route computes per-sample partials and sums
-//! them in sample order, so repeated calls are deterministic too.
+//! A [`BackwardEngine`] runs every planned batch one way: one chain per
+//! sample on one plan, with the per-sample partials summed in sample
+//! order. So repeated calls return the same gradient bits, a plan with the
+//! pooled executor returns the serial plan's bits, and
+//! [`BackwardMethod::BppsaFusedPlanned`] (the former fused route's name,
+//! kept for the benchmark) runs the same route. Each check runs on the
+//! RNN, a 64-layer SSM and a 32768-layer log-space SSM, through the
+//! training step, so `train.rs`'s mapping of each variant is checked too.
 //!
-//! Served lanes at or above [`LANE_SEGMENT_MIN_LAYERS`] plan a segmented
-//! schedule of their own, so the served route is compared only below it.
-//! A training step forwards its samples concurrently on the worker pool;
-//! its loss and gradients must equal a serial forward's bit for bit.
-//! CI also runs this suite under `RUST_TEST_THREADS=1`.
+//! The plan is built with exactly the caller's options: the executor and
+//! the segment count reach it like the kernel does. A training step
+//! forwards its samples concurrently on the worker pool; its loss and
+//! gradients must equal a serial forward's bit for bit. CI also runs this
+//! suite under `RUST_TEST_THREADS=1`.
 
 use bppsa_core::{BppsaOptions, DiagonalKernel, KernelMode};
 use bppsa_models::train::{rnn_batch_step, ssm_batch_step, BackwardMethod};
-use bppsa_models::{
-    BackwardEngine, BitstreamDataset, DiagonalSsm, RnnBatchSample, SsmBatchSample, VanillaRnn,
-};
-use bppsa_serve::LANE_SEGMENT_MIN_LAYERS;
+use bppsa_models::{BackwardEngine, BitstreamDataset, DiagonalSsm, RnnBatchSample, VanillaRnn};
 use bppsa_tensor::init::seeded_rng;
 use bppsa_tensor::Vector;
 
@@ -36,36 +35,27 @@ fn mismatches(a: &[u32], b: &[u32]) -> usize {
     a.iter().zip(b).filter(|(x, y)| x != y).count()
 }
 
-/// Runs every route on one engine; `run` returns the batch gradient's bits.
-fn assert_routes_agree(
-    layers: usize,
-    mut run: impl FnMut(BackwardMethod, &mut BackwardEngine<f32>) -> Vec<u32>,
-) {
+/// Runs the batch route on one engine; `step` trains one batch with a
+/// method and returns its gradient's bits.
+fn assert_routes_agree(mut step: impl FnMut(BackwardMethod, &mut BackwardEngine<f32>) -> Vec<u32>) {
     let mut engine = BackwardEngine::new();
-    let per_sample_route = BackwardMethod::bppsa_pooled_batched(BppsaOptions::serial());
-    let per_sample = run(per_sample_route, &mut engine);
+    let serial = BackwardMethod::bppsa_pooled_batched(BppsaOptions::serial());
+    let per_sample = step(serial, &mut engine);
     for call in 1..REPEATS {
-        let again = run(per_sample_route, &mut engine);
+        let again = step(serial, &mut engine);
         let differ = mismatches(&again, &per_sample);
         assert_eq!(differ, 0, "per-sample call {call}: {differ} values differ");
     }
-    for opts in [BppsaOptions::serial(), BppsaOptions::pooled()] {
-        let fused = run(BackwardMethod::bppsa_fused_planned(opts), &mut engine);
-        let differ = mismatches(&fused, &per_sample);
-        assert_eq!(
-            differ, 0,
-            "fused ({:?}): {differ} values differ",
-            opts.executor
-        );
-    }
-    if layers < LANE_SEGMENT_MIN_LAYERS {
-        let served = run(BackwardMethod::bppsa_served(), &mut engine);
-        let differ = mismatches(&served, &per_sample);
-        assert_eq!(differ, 0, "served: {differ} values differ");
-        assert_eq!(engine.lanes_built(), 1);
-    }
-    // One per-sample plan, and one fused plan per executor.
-    assert_eq!(engine.plans_built(), 3);
+    let pooled = BackwardMethod::bppsa_pooled_batched(BppsaOptions::pooled());
+    let differ = mismatches(&step(pooled, &mut engine), &per_sample);
+    assert_eq!(differ, 0, "pooled-executor plan: {differ} values differ");
+    let alias = BackwardMethod::BppsaFusedPlanned {
+        opts: BppsaOptions::serial(),
+    };
+    let differ = mismatches(&step(alias, &mut engine), &per_sample);
+    assert_eq!(differ, 0, "BppsaFusedPlanned: {differ} values differ");
+    // One plan per executor; the alias reuses the serial plan.
+    assert_eq!(engine.plans_built(), 2);
 }
 
 fn rnn_samples(rnn: &VanillaRnn<f32>, layers: usize, batch: usize) -> Vec<Owned<Vec<Vector<f32>>>> {
@@ -97,26 +87,8 @@ fn ssm_routes_agree(layers: usize) {
     let (hidden, batch_size) = (16, 4);
     let ssm = DiagonalSsm::<f32>::new(hidden, 10, &mut seeded_rng(31));
     let data = BitstreamDataset::<f32>::generate(batch_size, layers, 32);
-    let inv_b = 1.0 / batch_size as f32;
-    let owned: Vec<_> = (0..batch_size)
-        .map(|i| {
-            let s = data.sample(i);
-            let states = ssm.forward(&s.bits);
-            let (_, seed, g_logits) = ssm.loss_and_seed(&states, s.label);
-            (
-                s.bits.clone(),
-                states,
-                seed.scaled(inv_b),
-                g_logits.scaled(inv_b),
-            )
-        })
-        .collect();
-    let batch: Vec<SsmBatchSample<'_, f32>> = owned
-        .iter()
-        .map(|(xs, states, seed, g)| (xs.as_slice(), states, seed.clone(), g.clone()))
-        .collect();
-    assert_routes_agree(layers, |method, engine| {
-        let grads = ssm.backward_bppsa_batch(&batch, method, engine).unwrap();
+    assert_routes_agree(|method, engine| {
+        let (_, grads, _) = ssm_batch_step(&ssm, &data, 0..batch_size, method, engine);
         to_bits(&grads.flat())
     });
 }
@@ -125,10 +97,9 @@ fn ssm_routes_agree(layers: usize) {
 fn rnn_routes_agree_bit_for_bit() {
     let (hidden, layers, batch_size) = (20, 64, 6);
     let rnn = VanillaRnn::<f32>::new(1, hidden, 10, &mut seeded_rng(22));
-    let owned = rnn_samples(&rnn, layers, batch_size);
-    let batch = rnn_batch(&owned);
-    assert_routes_agree(layers, |method, engine| {
-        let grads = rnn.backward_bppsa_batch(&batch, method, engine).unwrap();
+    let data = BitstreamDataset::<f32>::generate(batch_size, layers, 21);
+    assert_routes_agree(|method, engine| {
+        let (_, grads, _) = rnn_batch_step(&rnn, &data, 0..batch_size, method, engine);
         to_bits(&grads.flat())
     });
 }
@@ -157,34 +128,43 @@ fn per_sample_route_plans_with_every_plan_option() {
     let owned = rnn_samples(&rnn, 16, 3);
     let batch = rnn_batch(&owned);
     let mut engine = BackwardEngine::new();
-    // The executor and the segment count are the fan-out's business: they
-    // neither reach the per-sample plan nor force a re-plan. The kernel
-    // shapes the plan and is kept.
-    for opts in [
-        BppsaOptions::serial().kernel(KernelMode::Gather),
-        BppsaOptions::pooled()
-            .segmented(2)
-            .kernel(KernelMode::Gather),
-    ] {
-        let method = BackwardMethod::bppsa_pooled_batched(opts);
-        rnn.backward_bppsa_batch(&batch, method, &mut engine)
-            .unwrap();
-        let plan = engine.plan().expect("per-sample plan");
-        let counts = plan.kernel_counts();
+    // The kernel shapes the plan, and the executor reaches it too: each
+    // distinct set of options plans once, and a repeat re-plans nothing.
+    let gather = BppsaOptions::serial().kernel(KernelMode::Gather);
+    let pooled_gather = BppsaOptions::pooled().kernel(KernelMode::Gather);
+    for opts in [gather, pooled_gather, gather] {
+        rnn.backward_bppsa_batch(&batch, opts, &mut engine);
+        let counts = engine.plan().expect("per-sample plan").kernel_counts();
         assert!(counts.total() > 0);
         assert_eq!(counts.gather, counts.total(), "{counts:?}");
-        assert_eq!(plan.segments(), 1);
     }
-    assert_eq!(engine.plans_built(), 1);
-
-    let method = BackwardMethod::bppsa_pooled_batched(BppsaOptions::serial());
-    rnn.backward_bppsa_batch(&batch, method, &mut engine)
-        .unwrap();
     assert_eq!(engine.plans_built(), 2);
+    rnn.backward_bppsa_batch(&batch, BppsaOptions::serial(), &mut engine);
+    assert_eq!(engine.plans_built(), 3);
     let counts = engine.plan().expect("per-sample plan").kernel_counts();
     assert!(
         counts.gather < counts.total(),
         "Auto picks a faster kernel: {counts:?}"
+    );
+
+    // The segment count reaches the plan: `bppsa_segmented(2)` on a
+    // one-sample batch is the deep-chain benchmark's route.
+    let layers = 64;
+    let owned = rnn_samples(&rnn, layers, 1);
+    let one = rnn_batch(&owned);
+    let BackwardMethod::BppsaPooled { opts } = BackwardMethod::bppsa_segmented(2) else {
+        unreachable!("bppsa_segmented is the per-sample route")
+    };
+    let segmented = rnn.backward_bppsa_batch(&one, opts, &mut engine);
+    assert_eq!(engine.plan().expect("segmented plan").segments(), 2);
+    // Bit for bit with the unsegmented plan of the schedule it derives.
+    let depth = opts.segmented_up_levels(layers + 1);
+    let hybrid = rnn.backward_bppsa_batch(&one, BppsaOptions::serial().hybrid(depth), &mut engine);
+    assert_eq!(engine.plan().expect("hybrid plan").segments(), 1);
+    let differ = mismatches(&to_bits(&segmented.flat()), &to_bits(&hybrid.flat()));
+    assert_eq!(
+        differ, 0,
+        "segmented vs hybrid({depth}): {differ} values differ"
     );
 }
 
@@ -231,10 +211,7 @@ fn batch_steps_match_a_serial_forward_bit_for_bit() {
         &data,
         |xs| rnn.forward(xs),
         |st, label| rnn.loss_and_seed(st, label),
-        |batch| {
-            rnn.backward_bppsa_batch(batch, route, &mut BackwardEngine::new())
-                .unwrap()
-        },
+        |batch| rnn.backward_bppsa_batch(batch, BppsaOptions::serial(), &mut BackwardEngine::new()),
     );
     assert_eq!(loss.to_bits(), want_loss.to_bits(), "RNN loss");
     let differ = mismatches(&to_bits(&grads.flat()), &to_bits(&want.flat()));
@@ -246,10 +223,7 @@ fn batch_steps_match_a_serial_forward_bit_for_bit() {
         &data,
         |xs| ssm.forward(xs),
         |st, label| ssm.loss_and_seed(st, label),
-        |batch| {
-            ssm.backward_bppsa_batch(batch, route, &mut BackwardEngine::new())
-                .unwrap()
-        },
+        |batch| ssm.backward_bppsa_batch(batch, BppsaOptions::serial(), &mut BackwardEngine::new()),
     );
     assert_eq!(loss.to_bits(), want_loss.to_bits(), "SSM loss");
     let differ = mismatches(&to_bits(&grads.flat()), &to_bits(&want.flat()));

@@ -2040,10 +2040,10 @@ impl<S> std::fmt::Debug for BppsaService<S> {
 mod tests {
     use super::*;
     use crate::ServeError;
-    use bppsa_core::{bppsa_backward, ScanElement};
+    use bppsa_core::{bppsa_backward, KernelCounts, ScanElement};
     use bppsa_sparse::Csr;
     use bppsa_tensor::init::{seeded_rng, uniform_vector};
-    use bppsa_tensor::Matrix;
+    use bppsa_tensor::{Matrix, Vector};
     use rand::Rng;
 
     fn sparse_chain(n: usize, width: usize, seed: u64) -> JacobianChain<f64> {
@@ -2063,17 +2063,21 @@ mod tests {
     }
 
     /// Same sparsity patterns as `template` (so the request routes to the
-    /// template's lane), fresh values.
-    fn revalue(template: &JacobianChain<f64>, seed: u64) -> JacobianChain<f64> {
+    /// template's lane), fresh values in `[-1, 1)`, in the scalar type `S`.
+    fn revalue<S: Scalar>(template: &JacobianChain<f64>, seed: u64) -> JacobianChain<S> {
         let mut rng = seeded_rng(seed);
         let mut chain = JacobianChain::new(uniform_vector(&mut rng, template.seed().len(), 1.0));
         for jt in template.jacobians() {
             let ScanElement::Sparse(m) = jt else {
                 unreachable!()
             };
-            chain.push(ScanElement::Sparse(
-                m.map_values(|_| rng.random_range(-1.0..1.0)),
-            ));
+            let values = (0..m.nnz())
+                .map(|_| S::from_f64(rng.random_range(-1.0..1.0)))
+                .collect();
+            chain.push(ScanElement::Sparse(Csr::from_pattern_and_values(
+                m.pattern(),
+                values,
+            )));
         }
         chain
     }
@@ -2104,31 +2108,19 @@ mod tests {
         assert_eq!(service.lanes(), 1);
     }
 
-    #[test]
-    fn coalesced_batch_matches_serial_bit_for_bit() {
-        let service = BppsaService::<f64>::new(quick_config());
-        let template = sparse_chain(10, 8, 2);
-        let plan = PlannedScan::plan(&template, BppsaOptions::serial());
-        let chains: Vec<JacobianChain<f64>> = (0..8)
-            .map(|k| {
-                let mut rng = seeded_rng(100 + k);
-                let mut chain =
-                    JacobianChain::new(uniform_vector(&mut rng, template.seed().len(), 1.0));
-                for jt in template.jacobians() {
-                    let ScanElement::Sparse(m) = jt else {
-                        unreachable!()
-                    };
-                    chain.push(ScanElement::Sparse(
-                        m.map_values(|_| rng.random_range(-1.0..1.0)),
-                    ));
-                }
-                chain
-            })
-            .collect();
-        let references: Vec<Vec<Vec<f64>>> = chains
+    /// Serves eight revalued copies of `template` through one lane and
+    /// checks each against a serial execution of the same plan. Returns
+    /// that plan's kernel counts.
+    fn assert_coalesced_batch_matches_serial<S: Scalar>(
+        template: &JacobianChain<f64>,
+    ) -> KernelCounts {
+        let service = BppsaService::<S>::new(quick_config());
+        let chains: Vec<JacobianChain<S>> = (0..8).map(|k| revalue(template, 100 + k)).collect();
+        let plan = PlannedScan::plan(&chains[0], BppsaOptions::serial());
+        let references: Vec<Vec<Vec<S>>> = chains
             .iter()
             .map(|chain| {
-                let mut ws = plan.workspace::<f64>();
+                let mut ws = plan.workspace::<S>();
                 plan.execute_with(chain, &mut ws)
                     .grads()
                     .iter()
@@ -2136,7 +2128,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        let tickets: Vec<Ticket<f64>> = chains.iter().map(|_| Ticket::new()).collect();
+        let tickets: Vec<Ticket<S>> = chains.iter().map(|_| Ticket::new()).collect();
         for (chain, ticket) in chains.into_iter().zip(&tickets) {
             service.submit(chain, ticket).expect("accepting");
         }
@@ -2150,6 +2142,29 @@ mod tests {
             });
         }
         assert_eq!(service.lanes(), 1, "one shape, one lane");
+        plan.kernel_counts()
+    }
+
+    #[test]
+    fn coalesced_batch_matches_serial_bit_for_bit() {
+        // A 40%-dense chain, and a full-pattern chain whose products all
+        // run the dense kernel, on both scalar types: the f32 tiers run
+        // inside a lane too.
+        let sparse = sparse_chain(10, 8, 2);
+        let mut full = JacobianChain::new(Vector::zeros(20));
+        for _ in 0..12 {
+            let pattern = Csr::from_dense_pattern(&Matrix::<f64>::zeros(20, 20));
+            full.push(ScanElement::Sparse(pattern));
+        }
+        assert_coalesced_batch_matches_serial::<f64>(&sparse);
+        assert_coalesced_batch_matches_serial::<f32>(&sparse);
+        for counts in [
+            assert_coalesced_batch_matches_serial::<f64>(&full),
+            assert_coalesced_batch_matches_serial::<f32>(&full),
+        ] {
+            assert!(counts.total() > 0);
+            assert_eq!(counts.dense, counts.total(), "{counts:?}");
+        }
     }
 
     #[test]

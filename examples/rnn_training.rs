@@ -33,12 +33,12 @@ fn main() {
 
     let bptt = run("BPTT", BackwardMethod::Bp);
     let bppsa = run("BPPSA", BackwardMethod::bppsa_pooled());
-    // The steady-state fast path: one fused block-diagonal scan per
-    // mini-batch, symbolically planned once, then executed numeric-only
-    // over a reused zero-allocation workspace every iteration.
+    // The steady-state fast path: one chain per sample, all on one plan
+    // built once for the whole run, each executed numeric-only over a
+    // reused zero-allocation workspace every iteration.
     let planned = run(
         "PLANNED",
-        BackwardMethod::bppsa_fused_planned(BppsaOptions::serial()),
+        BackwardMethod::bppsa_pooled_batched(BppsaOptions::serial()),
     );
 
     // The training trajectories are identical — BPPSA changes *how*
