@@ -1,5 +1,5 @@
 //! Criterion bench — the RNN backward pass three ways: BPTT (baseline),
-//! BPPSA with the serial executor, and BPPSA with the threaded executor
+//! BPPSA with the serial executor, and BPPSA on the persistent worker pool
 //! (§4.1's workload at CPU scale).
 
 use bppsa_core::BppsaOptions;
@@ -36,14 +36,14 @@ fn bench_rnn_backward(c: &mut Criterion) {
                 )
             })
         });
-        group.bench_with_input(BenchmarkId::new("bppsa_threaded4", t), &t, |b, _| {
+        group.bench_with_input(BenchmarkId::new("bppsa_pooled", t), &t, |b, _| {
             b.iter(|| {
                 rnn.backward_bppsa(
                     &sample.bits,
                     &states,
                     &seed,
                     &g_logits,
-                    BppsaOptions::threaded(4),
+                    BppsaOptions::pooled(),
                 )
             })
         });

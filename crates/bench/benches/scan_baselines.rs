@@ -52,8 +52,8 @@ fn bench_scans(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("blelloch_serial", t), &ch, |b, ch| {
             b.iter(|| bppsa_backward(std::hint::black_box(ch), BppsaOptions::serial()))
         });
-        group.bench_with_input(BenchmarkId::new("blelloch_threaded4", t), &ch, |b, ch| {
-            b.iter(|| bppsa_backward(std::hint::black_box(ch), BppsaOptions::threaded(4)))
+        group.bench_with_input(BenchmarkId::new("blelloch_pooled", t), &ch, |b, ch| {
+            b.iter(|| bppsa_backward(std::hint::black_box(ch), BppsaOptions::pooled()))
         });
 
         // Hillis–Steele over raw matrices (work-inefficient comparison).

@@ -11,15 +11,12 @@ use std::time::Instant;
 
 fn main() {
     let pool = global_pool();
-    // Raw barrier overhead: empty batches.
+    // Raw barrier overhead: batches of empty jobs.
     for jobs_per_batch in [1usize, 8, 24, 128] {
         let t0 = Instant::now();
         let reps = 1000;
         for _ in 0..reps {
-            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..jobs_per_batch)
-                .map(|_| Box::new(|| {}) as Box<dyn FnOnce() + Send + '_>)
-                .collect();
-            pool.run_batch(jobs);
+            pool.run_indexed(jobs_per_batch, &|_| {});
         }
         println!(
             "{jobs_per_batch:>4} empty jobs/batch: {:.1} µs/batch",
@@ -44,16 +41,9 @@ fn main() {
     let serial = t0.elapsed().as_secs_f64() / 20.0;
     let t0 = Instant::now();
     for _ in 0..20 {
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..24)
-            .map(|i| {
-                let a = &mats[i];
-                let b = &mats[i + 24];
-                Box::new(move || {
-                    std::hint::black_box(a.matmul(b));
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        pool.run_batch(jobs);
+        pool.run_indexed(24, &|i| {
+            std::hint::black_box(mats[i].matmul(&mats[i + 24]));
+        });
     }
     let pooled = t0.elapsed().as_secs_f64() / 20.0;
     println!(

@@ -4,9 +4,10 @@
 //!
 //! Run: `cargo run -p bppsa-bench --bin fig10_sweeps --release`
 //!
-//! A real-threaded CPU validation sweep is included: it executes the actual
-//! scan with 1/2/4/8 threads on a small workload and checks that more
-//! workers shorten the backward pass (the mechanism behind the figure).
+//! A real-execution CPU validation sweep is included: it executes the actual
+//! scan serially and on the persistent worker pool on two small workloads
+//! and checks whether the workers shorten the backward pass (the mechanism
+//! behind the figure).
 
 use bppsa_bench::write_csv;
 use bppsa_core::{bppsa_backward, BppsaOptions};

@@ -6,8 +6,8 @@
 //! Two parts:
 //!
 //! 1. **Real execution** (scaled down): trains the Equation-9 RNN on the
-//!    bitstream task twice from identical seeds — BPTT vs BPPSA with the
-//!    threaded scan executor — and reports the measured loss-vs-time curves.
+//!    bitstream task twice from identical seeds — BPTT vs BPPSA on the
+//!    pooled scan executor — and reports the measured loss-vs-time curves.
 //!    On a CPU the thread count is far below a GPU's worker count, so the
 //!    real-execution speedup is modest or below 1; the point of this part is
 //!    the *overlap of loss trajectories* and the correctness of the plumbing.

@@ -59,16 +59,8 @@ impl BppsaOptions {
         Self::default()
     }
 
-    /// Full Blelloch with `threads` worker threads per level.
-    pub fn threaded(threads: usize) -> Self {
-        Self {
-            executor: Executor::Threaded(threads),
-            ..Self::default()
-        }
-    }
-
-    /// Full Blelloch on the shared persistent worker pool — the fastest CPU
-    /// executor for repeated scans (no per-level thread spawns).
+    /// Full Blelloch on the shared persistent worker pool: one pool batch
+    /// per level, bit for bit the serial result.
     pub fn pooled() -> Self {
         Self {
             executor: Executor::Pooled,
@@ -313,11 +305,43 @@ mod tests {
     }
 
     #[test]
-    fn threaded_equals_serial() {
-        let chain = random_chain(21, 5);
-        let serial = bppsa_backward(&chain, BppsaOptions::serial());
-        let threaded = bppsa_backward(&chain, BppsaOptions::threaded(4));
-        assert!(serial.max_abs_diff(&threaded) < 1e-12);
+    fn pooled_equals_serial_to_the_bit() {
+        // The pool splits each level's pairs across workers, but every
+        // pair's combine runs the same operations on the same operands, so
+        // the gradients match bit for bit, not to a tolerance.
+        let bits = |r: &BackwardResult<f32>| -> Vec<u32> {
+            r.grads()
+                .iter()
+                .flat_map(|g| g.as_slice().iter().map(|x| x.to_bits()))
+                .collect()
+        };
+        let mut rng = seeded_rng(17);
+        for csr in [false, true] {
+            let mut chain = JacobianChain::<f32>::new(uniform_vector(&mut rng, 8, 1.0));
+            for _ in 0..200 {
+                let m = uniform_matrix(&mut rng, 8, 8, 0.5);
+                chain.push(if csr {
+                    ScanElement::Sparse(Csr::from_dense_pattern(&m))
+                } else {
+                    ScanElement::Dense(m)
+                });
+            }
+            for up_levels in [None, Some(3)] {
+                let serial = BppsaOptions {
+                    up_levels,
+                    ..BppsaOptions::serial()
+                };
+                let pooled = BppsaOptions {
+                    up_levels,
+                    ..BppsaOptions::pooled()
+                };
+                assert_eq!(
+                    bits(&bppsa_backward(&chain, serial)),
+                    bits(&bppsa_backward(&chain, pooled)),
+                    "csr={csr} up_levels={up_levels:?}"
+                );
+            }
+        }
     }
 
     #[test]

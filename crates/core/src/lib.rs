@@ -42,7 +42,7 @@
 //! let seed = Vector::from_vec(vec![1.0, 0.0, -1.0]); // ∇x_n from the loss
 //!
 //! let bp = net.backward_bp(&tape, &seed);
-//! let scan = net.backward_bppsa(&tape, &seed, JacobianRepr::Sparse, BppsaOptions::threaded(4));
+//! let scan = net.backward_bppsa(&tape, &seed, JacobianRepr::Sparse, BppsaOptions::pooled());
 //! // §3.5: BPPSA reconstructs BP exactly (up to fp reassociation).
 //! assert!(bp.max_abs_diff(&scan) < 1e-10);
 //! ```

@@ -369,9 +369,9 @@ mod tests {
         let g = uniform_vector(&mut seeded_rng(13), 5, 1.0);
         let reference = net.backward_bp(&tape, &g);
         for opts in [
-            BppsaOptions::threaded(3),
+            BppsaOptions::pooled(),
             BppsaOptions::serial().hybrid(1),
-            BppsaOptions::threaded(2).hybrid(2),
+            BppsaOptions::pooled().hybrid(2),
         ] {
             let scan = net.backward_bppsa(&tape, &g, JacobianRepr::Sparse, opts);
             assert!(reference.max_abs_diff(&scan) < 1e-10);

@@ -589,16 +589,16 @@ mod tests {
     }
 
     #[test]
-    fn bppsa_threaded_and_hybrid_agree() {
+    fn bppsa_pooled_and_hybrid_agree() {
         let rnn = tiny_rnn(9);
         let xs = bits(25, 10);
         let states = rnn.forward(&xs);
         let (_, seed, g_logits) = rnn.loss_and_seed(&states, 0);
         let reference = rnn.backward_bptt(&xs, &states, &seed, &g_logits);
         for opts in [
-            BppsaOptions::threaded(4),
+            BppsaOptions::pooled(),
             BppsaOptions::serial().hybrid(2),
-            BppsaOptions::threaded(2).hybrid(3),
+            BppsaOptions::pooled().hybrid(3),
         ] {
             let scan = rnn.backward_bppsa(&xs, &states, &seed, &g_logits, opts);
             assert!(reference.max_abs_diff(&scan) < 1e-10);

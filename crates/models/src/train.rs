@@ -53,15 +53,6 @@ pub enum BackwardMethod {
 }
 
 impl BackwardMethod {
-    /// BPPSA with sparse Jacobians and `threads` scan workers (spawned per
-    /// level; prefer [`BackwardMethod::bppsa_pooled`] for training loops).
-    pub fn bppsa_threaded(threads: usize) -> Self {
-        BackwardMethod::Bppsa {
-            opts: BppsaOptions::threaded(threads),
-            repr: JacobianRepr::Sparse,
-        }
-    }
-
     /// BPPSA with sparse Jacobians on the persistent worker pool.
     pub fn bppsa_pooled() -> Self {
         BackwardMethod::Bppsa {
@@ -534,7 +525,7 @@ mod tests {
             train_rnn(&mut rnn, &data, &mut opt, method, 8, 4, None)
         };
         let bp = run(BackwardMethod::Bp);
-        let scan = run(BackwardMethod::bppsa_threaded(2));
+        let scan = run(BackwardMethod::bppsa_pooled());
         assert!(bp.max_loss_gap(&scan) < 1e-3);
     }
 
@@ -614,7 +605,7 @@ mod tests {
         };
         let sequential = run(BackwardMethod::Bp);
         for method in [
-            BackwardMethod::bppsa_threaded(2),
+            BackwardMethod::bppsa_pooled(),
             BackwardMethod::bppsa_pooled_batched(BppsaOptions::serial()),
             BackwardMethod::bppsa_pooled_batched(BppsaOptions::pooled()),
         ] {

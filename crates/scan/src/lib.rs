@@ -21,11 +21,12 @@
 //!
 //! Execution is split from scheduling: a [`ScanSchedule`] is a pure
 //! description of level-synchronous pair updates, executed by
-//! [`execute_in_place`] either serially, with threads per level, or on the
-//! persistent [`WorkerPool`] (the in-process stand-in for the paper's
-//! one-CUDA-kernel-per-level structure on persistent SMs; its
-//! [`WorkerPool::run_indexed`] publishes batches into a reused
-//! generation-stamped header, so steady-state fan-outs allocate nothing).
+//! [`execute_in_place`] either serially or on the persistent [`WorkerPool`]
+//! (the in-process stand-in for the paper's one-CUDA-kernel-per-level
+//! structure on persistent SMs; its [`WorkerPool::run_indexed`] publishes
+//! batches into a reused generation-stamped header, so steady-state
+//! fan-outs allocate nothing). `run_indexed`, directly or through a
+//! [`WorkerGroup`], is the only way this crate runs work in parallel.
 //! A schedule can also be *priced* — without executing — by the
 //! `bppsa-pram` simulator.
 //!
@@ -44,7 +45,7 @@
 //! }
 //!
 //! let mut maps = vec![(2.0, 1.0), (3.0, 0.0), (1.0, -1.0)];
-//! execute_in_place(&ScanSchedule::full(3), &Compose, &mut maps, Executor::Threaded(2));
+//! execute_in_place(&ScanSchedule::full(3), &Compose, &mut maps, Executor::Pooled);
 //! assert_eq!(maps[0], (1.0, 0.0));        // identity
 //! assert_eq!(maps[1], (2.0, 1.0));        // first map
 //! assert_eq!(maps[2], (6.0, 3.0));        // composition of first two

@@ -1,10 +1,13 @@
 //! A persistent worker pool for level-synchronous execution.
 //!
-//! [`Executor::Threaded`](crate::Executor::Threaded) spawns OS threads per
-//! level — simple but expensive when a level's combines are microseconds of
-//! work (a 20×20 matmul). The paper's CUDA kernels don't pay that cost: SMs
-//! persist across kernel launches. [`WorkerPool`] is the CPU analogue — a
-//! fixed set of threads that stay parked between levels.
+//! The paper's CUDA kernels launch once per scan level on SMs that persist
+//! across launches. [`WorkerPool`] is the CPU analogue — a fixed set of
+//! threads that stay parked between levels, so a level whose combines are
+//! microseconds of work (a 20×20 matmul) pays no thread spawn. It is the
+//! crate's one parallel primitive: [`Executor::Pooled`](crate::Executor::Pooled),
+//! `bppsa-core`'s planned executors and its batched fan-outs all run
+//! through [`WorkerPool::run_indexed`], directly or through a
+//! [`WorkerGroup`].
 //!
 //! Design: a small fixed array of **reused, generation-stamped batch
 //! headers** lets several batches be in flight at once. A publisher claims a
@@ -25,11 +28,13 @@
 //! every header is busy does a publisher run its batch inline — same
 //! semantics, no deadlock.
 //!
-//! [`WorkerPool::carve`] partitions the worker indices into disjoint
-//! contiguous [`WorkerGroup`]s; a group's `run_indexed` publishes with the
-//! group's mask so only its workers participate — concurrent groups never
+//! [`WorkerPool::group`] names a contiguous range of worker indices as a
+//! [`WorkerGroup`]; a group's `run_indexed` publishes with the group's mask
+//! so only its workers participate — groups over disjoint ranges never
 //! steal each other's CPUs, which is how segmented scans keep K segments on
-//! K disjoint worker sets (see `bppsa-core`'s segmented executor).
+//! K disjoint worker sets (see `bppsa-core`'s segmented executor, which
+//! computes the K ranges arithmetically so its steady state allocates
+//! nothing).
 //!
 //! # The stale-worker story
 //!
@@ -287,25 +292,11 @@ impl WorkerPool {
         self.run_masked(0, self.size, count, task);
     }
 
-    /// Splits the workers into `groups` disjoint contiguous [`WorkerGroup`]s
-    /// covering all worker indices (sizes differ by at most one; with more
-    /// groups than workers the trailing groups are empty and their batches
-    /// run entirely on their callers — correct, just unaccelerated).
-    pub fn carve(&self, groups: usize) -> Vec<WorkerGroup<'_>> {
-        let groups = groups.max(1);
-        (0..groups)
-            .map(|g| {
-                let lo = g * self.size / groups;
-                let hi = (g + 1) * self.size / groups;
-                WorkerGroup { pool: self, lo, hi }
-            })
-            .collect()
-    }
-
     /// A [`WorkerGroup`] over the worker-index range `lo..hi` (both clamped
     /// to the pool size). Ranges handed to concurrently-publishing groups
     /// should be disjoint — that is the point of carving — but overlap is
-    /// safe (workers just serve both batches).
+    /// safe (workers just serve both batches). An empty range gives an
+    /// empty group, whose batches run entirely on the caller.
     pub fn group(&self, lo: usize, hi: usize) -> WorkerGroup<'_> {
         let lo = lo.min(self.size);
         let hi = hi.min(self.size).max(lo);
@@ -393,35 +384,16 @@ impl WorkerPool {
             panic!("a scan worker job panicked");
         }
     }
-
-    /// Convenience wrapper: runs a vector of one-shot closures as a batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any job panicked.
-    pub fn run_batch<'scope>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
-        if jobs.is_empty() {
-            return;
-        }
-        let slots: Vec<Slot<Box<dyn FnOnce() + Send + 'scope>>> =
-            jobs.into_iter().map(Slot::with).collect();
-        self.run_indexed(slots.len(), &|i| {
-            // SAFETY: run_indexed hands index `i` to exactly one task, so
-            // this is slot i's unique accessor; the fill above
-            // happens-before via the batch publication.
-            unsafe { slots[i].take()() };
-        });
-    }
 }
 
-/// A disjoint slice of a [`WorkerPool`]'s workers, from
-/// [`WorkerPool::carve`] / [`WorkerPool::group`].
+/// A contiguous slice of a [`WorkerPool`]'s workers, from
+/// [`WorkerPool::group`].
 ///
 /// `run_indexed` through a group publishes batches that only the group's
-/// workers (plus the caller) serve — concurrent groups never contend for
-/// each other's CPUs. An empty group (more groups than workers) degrades to
-/// caller-only inline execution, which keeps short tail segments correct on
-/// narrow hosts.
+/// workers (plus the caller) serve — concurrent groups over disjoint ranges
+/// never contend for each other's CPUs. An empty group (more groups than
+/// workers) degrades to caller-only inline execution, which keeps short
+/// tail segments correct on narrow hosts.
 ///
 /// # Examples
 ///
@@ -430,9 +402,9 @@ impl WorkerPool {
 /// use std::sync::atomic::{AtomicUsize, Ordering};
 ///
 /// let pool = WorkerPool::new(4);
-/// let groups = pool.carve(2);
+/// let first_half = pool.group(0, 2);
 /// let counter = AtomicUsize::new(0);
-/// groups[0].run_indexed(16, &|_| {
+/// first_half.run_indexed(16, &|_| {
 ///     counter.fetch_add(1, Ordering::Relaxed);
 /// });
 /// assert_eq!(counter.load(Ordering::Relaxed), 16);
@@ -449,11 +421,6 @@ impl WorkerGroup<'_> {
     /// so up to `workers() + 1` indices run concurrently).
     pub fn workers(&self) -> usize {
         self.hi - self.lo
-    }
-
-    /// The worker-index range `lo..hi` this group covers.
-    pub fn bounds(&self) -> (usize, usize) {
-        (self.lo, self.hi)
     }
 
     /// Runs `task(0..count)` across this group's workers and the calling
@@ -492,10 +459,10 @@ impl std::fmt::Debug for WorkerGroup<'_> {
 /// # Safety contract
 ///
 /// For each slot, at most one thread may call [`Slot::set`] / [`Slot::take`]
-/// / [`Slot::is_set`] at a time, and calls must be ordered by an external
-/// synchronization edge (the pool's batch barrier, a join, …). The pool's
-/// index disjointness — every index claimed by exactly one task — provides
-/// this for the one-slot-per-index pattern.
+/// at a time, and calls must be ordered by an external synchronization edge
+/// (the pool's batch barrier, a join, …). The pool's index disjointness —
+/// every index claimed by exactly one task — provides this for the
+/// one-slot-per-index pattern.
 ///
 /// # Examples
 ///
@@ -521,11 +488,6 @@ impl<T> Slot<T> {
         Slot(UnsafeCell::new(None))
     }
 
-    /// A slot pre-filled with `value`.
-    pub fn with(value: T) -> Self {
-        Slot(UnsafeCell::new(Some(value)))
-    }
-
     /// Stores `value`.
     ///
     /// # Safety
@@ -548,16 +510,6 @@ impl<T> Slot<T> {
     /// Panics if the slot is empty.
     pub unsafe fn take(&self) -> T {
         (*self.0.get()).take().expect("Slot::take: slot is empty")
-    }
-
-    /// Whether a value is currently stored.
-    ///
-    /// # Safety
-    ///
-    /// The caller must be the slot's unique accessor for the duration of
-    /// the call (see the type-level safety contract).
-    pub unsafe fn is_set(&self) -> bool {
-        (*self.0.get()).is_some()
     }
 }
 
@@ -716,22 +668,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_runs_all_jobs() {
-        let pool = WorkerPool::new(3);
-        let counter = AtomicUsize::new(0);
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..100)
-            .map(|_| {
-                let c = &counter;
-                Box::new(move || {
-                    c.fetch_add(1, Ordering::Relaxed);
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        pool.run_batch(jobs);
-        assert_eq!(counter.load(Ordering::Relaxed), 100);
-    }
-
-    #[test]
     fn sequential_batches_form_barriers() {
         // Writes from batch 1 must be visible to batch 2 (level sync).
         let pool = WorkerPool::new(4);
@@ -751,7 +687,6 @@ mod tests {
     fn empty_batch_is_fine() {
         let pool = WorkerPool::new(2);
         pool.run_indexed(0, &|_| unreachable!());
-        pool.run_batch(Vec::new());
     }
 
     #[test]
@@ -863,11 +798,7 @@ mod tests {
         pool.run_indexed(64, &|i| unsafe { staged[i].set(i + 100) });
         for (i, s) in staged.iter().enumerate() {
             // SAFETY: single-threaded after the barrier.
-            unsafe {
-                assert!(s.is_set());
-                assert_eq!(s.take(), i + 100);
-                assert!(!s.is_set());
-            }
+            assert_eq!(unsafe { s.take() }, i + 100);
         }
     }
 
@@ -956,50 +887,30 @@ mod tests {
     }
 
     #[test]
-    fn carve_partitions_workers_exactly() {
-        let pool = WorkerPool::new(5);
-        let groups = pool.carve(3);
-        assert_eq!(groups.len(), 3);
-        let mut covered = 0usize;
-        let mut prev_hi = 0usize;
-        for g in &groups {
-            let (lo, hi) = g.bounds();
-            assert_eq!(lo, prev_hi, "groups must be contiguous and disjoint");
-            assert!(hi >= lo);
-            covered += g.workers();
-            prev_hi = hi;
-        }
-        assert_eq!(prev_hi, pool.size());
-        assert_eq!(covered, pool.size());
-        // Sizes differ by at most one.
-        let sizes: Vec<usize> = groups.iter().map(|g| g.workers()).collect();
-        let (min, max) = (*sizes.iter().min().unwrap(), *sizes.iter().max().unwrap());
-        assert!(max - min <= 1, "unbalanced carve: {sizes:?}");
-    }
-
-    #[test]
     fn empty_group_runs_inline_on_the_caller() {
-        // More groups than workers: the tail groups are empty and their
-        // batches must run entirely (and correctly) on the caller.
+        // More groups than workers: some ranges are empty (or clamp to
+        // empty past the pool), and their batches must run entirely (and
+        // correctly) on the caller.
         let pool = WorkerPool::new(1);
-        let groups = pool.carve(4);
-        assert_eq!(groups[0].workers(), 0, "leading groups are the empty ones");
         let caller = std::thread::current().id();
-        let counter = AtomicUsize::new(0);
-        groups[0].run_indexed(16, &|_| {
-            assert_eq!(std::thread::current().id(), caller);
-            counter.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 16);
+        for group in [pool.group(0, 0), pool.group(3, 7)] {
+            assert_eq!(group.workers(), 0, "{group:?}");
+            let counter = AtomicUsize::new(0);
+            group.run_indexed(16, &|_| {
+                assert_eq!(std::thread::current().id(), caller);
+                counter.fetch_add(1, Ordering::Relaxed);
+            });
+            assert_eq!(counter.load(Ordering::Relaxed), 16);
+        }
     }
 
     #[test]
     fn disjoint_groups_run_batches_concurrently_and_exactly() {
-        // Two carved groups publishing from two caller threads: all indices
-        // of both batches run exactly once, across many rounds, without the
-        // groups interfering with each other's headers.
+        // Two disjoint groups publishing from two caller threads: all
+        // indices of both batches run exactly once, across many rounds,
+        // without the groups interfering with each other's headers.
         let pool = WorkerPool::new(4);
-        let groups = pool.carve(2);
+        let groups = [pool.group(0, 2), pool.group(2, 4)];
         let hits: Vec<Vec<AtomicUsize>> = (0..2)
             .map(|_| (0..64).map(|_| AtomicUsize::new(0)).collect())
             .collect();
@@ -1026,10 +937,9 @@ mod tests {
         // A panic inside one group's batch re-raises at that group's
         // publisher and never leaks to a concurrent clean group.
         let pool = WorkerPool::new(4);
-        let groups = pool.carve(2);
         std::thread::scope(|s| {
-            let g0 = groups[0];
-            let g1 = groups[1];
+            let g0 = pool.group(0, 2);
+            let g1 = pool.group(2, 4);
             let dirty = s.spawn(move || {
                 for _ in 0..100 {
                     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {

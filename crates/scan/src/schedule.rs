@@ -253,7 +253,7 @@ impl ScanSchedule {
     }
 
     /// Verifies that every level touches each array index at most once —
-    /// the disjointness invariant the threaded executor's safety relies on.
+    /// the disjointness invariant the pooled executor's safety relies on.
     pub fn assert_levels_disjoint(&self) {
         for level in self.up_levels.iter().chain(&self.down_levels) {
             let mut seen = std::collections::HashSet::new();

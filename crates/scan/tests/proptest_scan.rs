@@ -83,7 +83,6 @@ proptest! {
     fn threaded_equals_oracle_matrices(
         items in proptest::collection::vec(
             proptest::array::uniform4(-5i64..5).prop_map(M2), 0..60),
-        threads in 2usize..6,
     ) {
         let expect = serial_exclusive_scan(&MatMul, &items);
         let mut a = items.clone();
@@ -91,7 +90,7 @@ proptest! {
             &ScanSchedule::full(items.len()),
             &MatMul,
             &mut a,
-            Executor::Threaded(threads),
+            Executor::Pooled,
         );
         prop_assert_eq!(a, expect);
     }

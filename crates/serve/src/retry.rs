@@ -27,10 +27,9 @@
 
 use std::time::Duration;
 
-/// Budget + backoff + jitter for retrying transient submit refusals. Used
-/// by [`BppsaService::submit_retrying`](crate::BppsaService::submit_retrying)
-/// and consumed by `bppsa-models`' served training paths via
-/// [`ServeConfig::retry`](crate::ServeConfig::retry).
+/// Budget + backoff + jitter for retrying transient submit refusals. Set
+/// through [`ServeConfig::retry`](crate::ServeConfig::retry) and used by
+/// [`BppsaService::submit_retrying`](crate::BppsaService::submit_retrying).
 ///
 /// # Examples
 ///

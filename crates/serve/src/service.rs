@@ -272,8 +272,7 @@ pub struct ServeConfig {
     /// What to do with requests already past their deadline at flush
     /// ([`DeadlinePolicy::Soft`] — execute late — by default).
     pub deadline: DeadlinePolicy,
-    /// Budget/backoff/jitter for [`BppsaService::submit_retrying`] and for
-    /// `bppsa-models`' served training paths.
+    /// Budget/backoff/jitter for [`BppsaService::submit_retrying`].
     pub retry: RetryPolicy,
     /// Fault-injection schedule (the disabled no-op by default — a single
     /// branch per injection point, nothing on the steady-state path).

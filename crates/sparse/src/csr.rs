@@ -512,40 +512,6 @@ impl<S: Scalar> Csr<S> {
         Self::from_raw_parts(rows, self.cols(), indptr, indices, data)
     }
 
-    /// Builds the block-diagonal matrix `diag(blocks…)`.
-    ///
-    /// This is how a mini-batch enters a *single* scan: the per-sample
-    /// transposed Jacobians of one timestep become one block-diagonal
-    /// element, so `B` independent scans fuse into one chain whose levels
-    /// expose `B×` the parallelism (the batching the paper's CUDA kernels
-    /// perform across thread blocks).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `blocks` is empty.
-    pub fn block_diag(blocks: &[&Csr<S>]) -> Self {
-        assert!(!blocks.is_empty(), "block_diag: no blocks");
-        let rows: usize = blocks.iter().map(|b| b.rows()).sum();
-        let cols: usize = blocks.iter().map(|b| b.cols()).sum();
-        let nnz: usize = blocks.iter().map(|b| b.nnz()).sum();
-        let mut indptr = Vec::with_capacity(rows + 1);
-        let mut indices = Vec::with_capacity(nnz);
-        let mut data = Vec::with_capacity(nnz);
-        indptr.push(0usize);
-        let mut col_off = 0u32;
-        for b in blocks {
-            for i in 0..b.rows() {
-                for (&j, &v) in b.row_indices(i).iter().zip(b.row_data(i)) {
-                    indices.push(j + col_off);
-                    data.push(v);
-                }
-                indptr.push(indices.len());
-            }
-            col_off += b.cols() as u32;
-        }
-        Self::from_parts_unchecked(rows, cols, indptr, indices, data)
-    }
-
     /// Memory footprint in bytes of the three CSR arrays (the paper's
     /// 768 MB → 6.5 MB comparison for the first VGG-11 convolution).
     pub fn memory_bytes(&self) -> usize {
@@ -747,39 +713,6 @@ mod tests {
     #[test]
     fn display_reports_nnz() {
         assert!(format!("{}", sample()).contains("nnz=4"));
-    }
-
-    #[test]
-    fn block_diag_places_blocks_on_the_diagonal() {
-        let a = Csr::from_diagonal(&[1.0f64, 2.0]);
-        let b = sample();
-        let d = Csr::block_diag(&[&a, &b]);
-        assert_eq!(d.shape(), (5, 5));
-        assert_eq!(d.validate(), Ok(()));
-        assert_eq!(d.nnz(), a.nnz() + b.nnz());
-        assert_eq!(d.get(0, 0), 1.0);
-        assert_eq!(d.get(2, 2), 1.0); // b's (0,0)
-        assert_eq!(d.get(4, 3), 4.0); // b's (2,1)
-        assert_eq!(d.get(0, 3), 0.0); // off-block
-    }
-
-    #[test]
-    fn block_diag_product_is_blockwise_product() {
-        // diag(A1,A2)·diag(B1,B2) == diag(A1·B1, A2·B2): the identity that
-        // makes batched scans equivalent to per-sample scans.
-        let a1 = sample();
-        let a2 = Csr::from_diagonal(&[2.0f64, 3.0, 4.0]);
-        let b1 = Csr::from_diagonal(&[1.0f64, -1.0, 0.5]);
-        let b2 = sample();
-        let lhs = crate::spgemm(&Csr::block_diag(&[&a1, &a2]), &Csr::block_diag(&[&b1, &b2]));
-        let rhs = Csr::block_diag(&[&crate::spgemm(&a1, &b1), &crate::spgemm(&a2, &b2)]);
-        assert!(lhs.to_dense().approx_eq(&rhs.to_dense(), 1e-12));
-    }
-
-    #[test]
-    #[should_panic(expected = "no blocks")]
-    fn block_diag_rejects_empty() {
-        let _ = Csr::<f32>::block_diag(&[]);
     }
 
     #[test]

@@ -39,12 +39,7 @@ fn main() {
     let baseline = net.backward_bp(&tape, &seed);
 
     // 5. BPPSA: transposed Jacobians in CSR, scanned in Θ(log n) steps.
-    let scanned = net.backward_bppsa(
-        &tape,
-        &seed,
-        JacobianRepr::Sparse,
-        BppsaOptions::threaded(4),
-    );
+    let scanned = net.backward_bppsa(&tape, &seed, JacobianRepr::Sparse, BppsaOptions::pooled());
 
     // 6. §3.5: BPPSA is a reconstruction of BP, not an approximation.
     let diff = baseline.max_abs_diff(&scanned);

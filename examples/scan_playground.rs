@@ -41,7 +41,7 @@ fn main() {
         &ScanSchedule::full(4),
         &Compose,
         &mut parallel,
-        Executor::Threaded(2),
+        Executor::Pooled,
     );
     assert_eq!(serial, parallel);
     println!("affine-map prefix compositions: {parallel:?}");

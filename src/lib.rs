@@ -33,7 +33,7 @@
 //! let tape = net.forward(&Tensor::from_vec(vec![8], vec![0.1; 8]));
 //! let seed = Vector::from_vec(vec![1.0, -0.5, 0.25, 0.0]);
 //! let baseline = net.backward_bp(&tape, &seed);
-//! let scanned = net.backward_bppsa(&tape, &seed, JacobianRepr::Sparse, BppsaOptions::threaded(4));
+//! let scanned = net.backward_bppsa(&tape, &seed, JacobianRepr::Sparse, BppsaOptions::pooled());
 //!
 //! // §3.5: BPPSA reconstructs BP exactly (up to fp reassociation).
 //! assert!(baseline.max_abs_diff(&scanned) < 1e-10);

@@ -45,7 +45,7 @@ fn rnn_trajectories_overlap_with_adam() {
         train_rnn(&mut rnn, &data, &mut opt, method, 8, 6, None)
     };
     let bptt = run(BackwardMethod::Bp);
-    let scan = run(BackwardMethod::bppsa_threaded(4));
+    let scan = run(BackwardMethod::bppsa_pooled());
     assert!(bptt.max_loss_gap(&scan) < 1e-3);
 }
 

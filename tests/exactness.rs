@@ -56,12 +56,11 @@ fn check_all_paths(net: &Network<f64>, input_shape: Vec<usize>, out_len: usize, 
     for repr in [JacobianRepr::Sparse, JacobianRepr::Dense] {
         for opts in [
             BppsaOptions::serial(),
-            BppsaOptions::threaded(2),
-            BppsaOptions::threaded(8),
+            BppsaOptions::pooled(),
             BppsaOptions::serial().hybrid(0),
             BppsaOptions::serial().hybrid(1),
             BppsaOptions::serial().hybrid(2),
-            BppsaOptions::threaded(4).hybrid(2),
+            BppsaOptions::pooled().hybrid(2),
         ] {
             let scanned = net.backward_bppsa(&tape, &g, repr, opts);
             let diff = reference.max_abs_diff(&scanned);
@@ -92,13 +91,7 @@ fn rnn_gradients_exact_at_length_1000() {
     let states = rnn.forward(&s.bits);
     let (_, seed, g_logits) = rnn.loss_and_seed(&states, s.label);
     let bptt = rnn.backward_bptt(&s.bits, &states, &seed, &g_logits);
-    let scan = rnn.backward_bppsa(
-        &s.bits,
-        &states,
-        &seed,
-        &g_logits,
-        BppsaOptions::threaded(8),
-    );
+    let scan = rnn.backward_bppsa(&s.bits, &states, &seed, &g_logits, BppsaOptions::pooled());
     let diff = bptt.max_abs_diff(&scan);
     // 1000 matrix products reassociated: allow generous fp headroom.
     assert!(diff < 1e-8, "T=1000 gradients differ by {diff}");

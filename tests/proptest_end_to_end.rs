@@ -35,10 +35,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn random_chains_scan_equals_linear(chain in arb_chain(), k in 0usize..6, threads in 1usize..5) {
+    fn random_chains_scan_equals_linear(chain in arb_chain(), k in 0usize..6, pooled in any::<bool>()) {
         let reference = linear_backward(&chain);
         let opts = BppsaOptions {
-            executor: if threads == 1 { Executor::Serial } else { Executor::Threaded(threads) },
+            executor: if pooled { Executor::Pooled } else { Executor::Serial },
             ..BppsaOptions::serial().hybrid(k)
         };
         let scanned = bppsa_backward(&chain, opts);
