@@ -299,6 +299,29 @@ mod tests {
     }
 
     #[test]
+    fn threaded_matches_serial_for_noncommutative_op() {
+        // The global pool's width depends on the host; run the pooled level
+        // on explicit pools so 2, 4 and 8 chunks per level are all covered.
+        for m in [5usize, 64, 127, 128, 1000] {
+            let items: Vec<(i64, i64)> = (0..m as i64).map(|i| (2 * i + 1, 3 * i - 7)).collect();
+            let expect = serial_exclusive_scan(&Affine, &items);
+            let schedule = ScanSchedule::full(m);
+            for workers in [1usize, 3, 7] {
+                let pool = crate::WorkerPool::new(workers);
+                let mut a = items.clone();
+                for level in schedule.up_levels() {
+                    run_level_pooled(&mut a, &Affine, level, false, &pool);
+                }
+                run_middle(&mut a, &Affine, schedule.block_roots());
+                for level in schedule.down_levels() {
+                    run_level_pooled(&mut a, &Affine, level, true, &pool);
+                }
+                assert_eq!(a, expect, "m={m} workers={workers}");
+            }
+        }
+    }
+
+    #[test]
     fn pooled_hybrid_schedules_agree() {
         let items = strings(41);
         let expect = serial_exclusive_scan(&Concat, &items);
