@@ -20,7 +20,7 @@ use bppsa_bench::random_csr;
 use bppsa_core::{JacobianChain, ScanElement};
 use bppsa_serve::{
     BppsaService, FaultInjector, FaultRates, FeasibilityPolicy, ServeConfig, ShedPolicy,
-    SubmitError, Ticket,
+    SubmitRefusal, Ticket,
 };
 use bppsa_tensor::init::{seeded_rng, uniform_vector};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -71,7 +71,6 @@ fn bench_serve_overload(c: &mut Criterion) {
             max_delay: Duration::from_micros(100),
             queue_cap: 2 * WAVE,
             max_lanes: 2,
-            workspaces_per_lane: 0,
             shed: ShedPolicy {
                 feasibility: Some(FeasibilityPolicy { min_flushes: 2 }),
                 ..ShedPolicy::disabled()
@@ -100,9 +99,9 @@ fn bench_serve_overload(c: &mut Criterion) {
                 let chain = slot.take().expect("reclaimed");
                 match service.submit_with_delay(chain, deadline, ticket) {
                     Ok(()) => *accepted = true,
-                    Err(SubmitError::Infeasible(chain)) => {
+                    Err(e) if e.kind() == SubmitRefusal::Infeasible => {
                         *accepted = false;
-                        *slot = Some(chain);
+                        *slot = Some(e.into_chain());
                     }
                     Err(other) => panic!("unexpected refusal: {other}"),
                 }

@@ -22,13 +22,13 @@ use bppsa_bench::random_csr;
 use bppsa_core::{JacobianChain, ScanElement};
 use bppsa_serve::{
     BppsaService, BreakerPolicy, FaultInjector, FaultRates, FaultScript, ServeConfig, ShedPolicy,
-    SubmitError, Ticket,
+    SubmitRefusal, Ticket,
 };
 use bppsa_tensor::init::{seeded_rng, uniform_vector};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Requests per measured wave.
 const WAVE: usize = 24;
@@ -75,7 +75,6 @@ fn bench_serve_throughput(c: &mut Criterion) {
                 max_delay: Duration::from_micros(delay_us),
                 queue_cap: 2 * WAVE,
                 max_lanes: lanes.max(2),
-                workspaces_per_lane: 0,
                 shed: ShedPolicy::disabled(),
                 ..ServeConfig::default()
             });
@@ -132,7 +131,6 @@ fn bench_cold_shape_storm(c: &mut Criterion) {
                     max_delay: Duration::from_micros(100),
                     queue_cap: 16,
                     max_lanes: shapes.max(2),
-                    workspaces_per_lane: 1,
                     shed: ShedPolicy::disabled(),
                     ..ServeConfig::default()
                 });
@@ -173,7 +171,6 @@ fn bench_shed_rate(c: &mut Criterion) {
             max_delay: Duration::from_micros(50),
             queue_cap: 16,
             max_lanes: 2,
-            workspaces_per_lane: 0,
             shed: ShedPolicy {
                 max_queue_depth: Some(depth),
                 min_warming_delay: None,
@@ -192,9 +189,9 @@ fn bench_shed_rate(c: &mut Criterion) {
                 let chain = slot.take().expect("reclaimed");
                 match service.submit(chain, ticket) {
                     Ok(()) => *accepted = true,
-                    Err(SubmitError::Shed(chain)) => {
+                    Err(e) if e.kind() == SubmitRefusal::Shed => {
                         *accepted = false;
-                        *slot = Some(chain);
+                        *slot = Some(e.into_chain());
                     }
                     Err(other) => panic!("unexpected refusal: {other}"),
                 }
@@ -226,8 +223,9 @@ fn bench_shed_rate(c: &mut Criterion) {
 ///
 /// * `trip_to_live/cooldown_us_*` — each iteration builds a fresh service
 ///   whose first batch is scripted to panic with a threshold-1 breaker
-///   armed, then rides the quarantine out with [`BppsaService::submit_retrying`]
-///   until the half-open probe serves the request. The measured time is the
+///   armed, then rides the quarantine out by resubmitting every 100 µs
+///   while `SubmitRefusal::is_transient` holds (for at most 5 s), until
+///   the half-open probe serves the request. The measured time is the
 ///   full trip → cool-down → probe-replan → Live cycle (including both lane
 ///   bring-ups), i.e. the end-to-end unavailability a poisoned-then-healthy
 ///   shape observes, as a function of the configured cool-down.
@@ -259,7 +257,6 @@ fn bench_recovery(c: &mut Criterion) {
                     max_delay: Duration::ZERO,
                     queue_cap: 8,
                     max_lanes: 2,
-                    workspaces_per_lane: 0,
                     breaker: BreakerPolicy {
                         max_consecutive_panics: Some(1),
                         cooldown: Duration::from_micros(cooldown_us),
@@ -277,15 +274,24 @@ fn bench_recovery(c: &mut Criterion) {
                     .wait()
                     .expect_err("scripted panic fails the first batch");
                 let mut chain = ticket.take_chain();
-                // Recover: retrying submits absorb the quarantine window;
-                // a request that raced into the dying lane is resubmitted.
+                // Recover: transient refusals (the quarantine window) are
+                // resubmitted, and so is a request that raced into the
+                // dying lane.
+                let start = Instant::now();
                 loop {
-                    service
-                        .submit_retrying(chain, &ticket)
-                        .expect("retry budget outlasts the cool-down");
-                    match ticket.wait() {
-                        Ok(()) => break,
-                        Err(_) => chain = ticket.take_chain(),
+                    match service.submit(chain, &ticket) {
+                        Ok(()) => match ticket.wait() {
+                            Ok(()) => break,
+                            Err(_) => chain = ticket.take_chain(),
+                        },
+                        Err(e) => {
+                            assert!(
+                                e.kind().is_transient() && start.elapsed() < Duration::from_secs(5),
+                                "retry budget outlasts the cool-down: {e}"
+                            );
+                            std::thread::sleep(Duration::from_micros(100));
+                            chain = e.into_chain();
+                        }
                     }
                 }
                 service.shutdown();
@@ -299,7 +305,6 @@ fn bench_recovery(c: &mut Criterion) {
         max_delay: Duration::from_micros(100),
         queue_cap: 2 * WAVE,
         max_lanes: 2,
-        workspaces_per_lane: 0,
         breaker: BreakerPolicy {
             max_consecutive_panics: Some(2),
             cooldown: Duration::from_micros(200),
@@ -325,9 +330,9 @@ fn bench_recovery(c: &mut Criterion) {
             attempts += 1;
             match service.submit(chain, ticket) {
                 Ok(()) => *accepted = true,
-                Err(SubmitError::Quarantined(chain)) => {
+                Err(e) if e.kind() == SubmitRefusal::Quarantined => {
                     *accepted = false;
-                    *slot = Some(chain);
+                    *slot = Some(e.into_chain());
                 }
                 Err(other) => panic!("unexpected refusal: {other}"),
             }

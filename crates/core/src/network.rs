@@ -171,34 +171,6 @@ impl<S: Scalar> Network<S> {
         self.gradients_from_activation_grads(tape, result.grads().to_vec())
     }
 
-    /// Builds a [`crate::PlannedScan`] for this network's backward pass from
-    /// one representative forward pass (the symbolic phase of §3.3, hoisted
-    /// out of the training loop — see DESIGN.md §9). Valid for the life of
-    /// the architecture: operators emit guaranteed-pattern Jacobians, so the
-    /// plan holds across weight updates and inputs.
-    pub fn plan_backward(&self, tape: &Tape<S>, opts: BppsaOptions) -> crate::PlannedScan {
-        let probe = Vector::zeros(self.output_len());
-        let chain = self.build_chain(tape, &probe, JacobianRepr::Sparse);
-        crate::PlannedScan::plan(&chain, opts)
-    }
-
-    /// BPPSA through a precomputed [`crate::PlannedScan`]: numeric-only
-    /// SpGEMM kernels end to end.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan was built for a different architecture.
-    pub fn backward_bppsa_planned(
-        &self,
-        tape: &Tape<S>,
-        grad_output: &Vector<S>,
-        plan: &crate::PlannedScan,
-    ) -> Gradients<S> {
-        let chain = self.build_chain(tape, grad_output, JacobianRepr::Sparse);
-        let result = plan.execute(&chain);
-        self.gradients_from_activation_grads(tape, result.grads().to_vec())
-    }
-
     /// Flattened output length of the final operator.
     pub fn output_len(&self) -> usize {
         self.ops.last().map_or(0, |op| op.output_len())
@@ -376,22 +348,6 @@ mod tests {
             let scan = net.backward_bppsa(&tape, &g, JacobianRepr::Sparse, opts);
             assert!(reference.max_abs_diff(&scan) < 1e-10);
         }
-    }
-
-    #[test]
-    fn planned_network_backward_matches_generic() {
-        let net = tiny_cnn(31);
-        let x = uniform_tensor(&mut seeded_rng(32), vec![1, 6, 6], 1.0);
-        let tape = net.forward(&x);
-        let plan = net.plan_backward(&tape, BppsaOptions::serial());
-        // The plan survives a *different* input and seed (same patterns).
-        let x2 = uniform_tensor(&mut seeded_rng(33), vec![1, 6, 6], 1.0);
-        let tape2 = net.forward(&x2);
-        let g = uniform_vector(&mut seeded_rng(34), 5, 1.0);
-        let planned = net.backward_bppsa_planned(&tape2, &g, &plan);
-        let generic = net.backward_bp(&tape2, &g);
-        let diff = generic.max_abs_diff(&planned);
-        assert!(diff < 1e-10, "diff {diff}");
     }
 
     #[test]

@@ -43,8 +43,7 @@ pub enum InjectionPoint {
     /// Inside a lane's warm-up `catch_unwind`, just before symbolic
     /// planning. [`FaultAction::Panic`] here exercises the
     /// [`PlanPanicked`](crate::ServeError::PlanPanicked) path (and, with a
-    /// breaker armed, plan-panic quarantine);
-    /// [`FaultAction::Stall`] lengthens the warm-up window.
+    /// breaker armed, plan-panic quarantine).
     PlanBuild {
         /// Creation-ordered lane id.
         lane: usize,
@@ -192,11 +191,6 @@ impl FaultScript {
     /// Lane `lane`'s warm-up planner panics (once).
     pub fn plan_panic(self, lane: usize) -> Self {
         self.rule(0, Some(lane), None, FaultAction::Panic, 1)
-    }
-
-    /// Lane `lane`'s warm-up stalls for `delay` before planning (once).
-    pub fn plan_stall(self, lane: usize, delay: Duration) -> Self {
-        self.rule(0, Some(lane), None, FaultAction::Stall(delay), 1)
     }
 
     /// Batch execution of lane `lane`'s flush number `flush` panics.

@@ -93,12 +93,13 @@
 //! no accepted request ever hangs (see the [`service`](BppsaService) docs'
 //! *failure domains* section). A [`BreakerPolicy`] quarantines a shape
 //! whose batches panic repeatedly ([`LaneState::Quarantined`], refusals as
-//! [`SubmitError::Quarantined`]) and re-admits it through a single
+//! [`SubmitRefusal::Quarantined`]) and re-admits it through a single
 //! half-open probe after a cool-down; a hard [`DeadlinePolicy`] fails
 //! requests whose budget expired while queued with
-//! [`ServeError::DeadlineExceeded`]; a [`RetryPolicy`] in [`ServeConfig`]
-//! drives [`BppsaService::submit_retrying`] for transient refusals. All of
-//! it is testable deterministically through the seeded, scriptable
+//! [`ServeError::DeadlineExceeded`]. Every refusal is a [`SubmitError`]:
+//! one [`SubmitRefusal`] plus the handed-back chain. The service never
+//! retries for its caller; callers loop on [`SubmitRefusal::is_transient`].
+//! All of it is testable deterministically through the seeded, scriptable
 //! [`FaultInjector`] — a disabled injector (the default) is a single
 //! pointer check on the hot path.
 //!
@@ -111,7 +112,6 @@
 mod fault;
 mod metrics;
 mod overload;
-mod retry;
 mod service;
 mod ticket;
 
@@ -125,7 +125,6 @@ pub use overload::{
 // fields without a direct `bppsa-core` dependency, and so the memory
 // budget a `ServeConfig` carries can be built without one either.
 pub use bppsa_core::{KernelCounts, MemoryBudget, PlanKind};
-pub use retry::RetryPolicy;
 pub use service::{
     flush_decision, lane_plan_options, BppsaService, BreakerPolicy, DeadlinePolicy, FlushDecision,
     ServeConfig, ShedPolicy, SubmitError, SubmitRefusal, LANE_SEGMENTS, LANE_SEGMENT_MIN_LAYERS,

@@ -29,7 +29,7 @@ use std::time::Duration;
 /// * **Warming** — the placeholder lane exists (shape key + bounded queue)
 ///   and its dispatcher is building the compiled plan and workspace pool.
 ///   Requests queue up; non-blocking submits are refused with
-///   [`SubmitError::LaneWarming`](crate::SubmitError::LaneWarming).
+///   [`SubmitRefusal::LaneWarming`](crate::SubmitRefusal::LaneWarming).
 /// * **Live** — the plan is built; the dispatcher coalesces and flushes
 ///   under the deadline policy.
 /// * **Draining** — the lane was evicted or the service is shutting down:
@@ -40,7 +40,7 @@ use std::time::Duration;
 ///   [`BreakerPolicy::max_consecutive_panics`](crate::BreakerPolicy::max_consecutive_panics)
 ///   and exited, taking its *shape* into cool-down: new submits of the
 ///   shape are refused with
-///   [`SubmitError::Quarantined`](crate::SubmitError::Quarantined) until
+///   [`SubmitRefusal::Quarantined`](crate::SubmitRefusal::Quarantined) until
 ///   the cool-down elapses, then exactly one half-open probe lane tests
 ///   recovery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,7 +112,7 @@ pub(crate) struct LaneMetrics {
     deadline_expired: AtomicU64,
     died: AtomicU8,
     /// Requests refused up front because their predicted wait exceeded
-    /// their deadline ([`SubmitError::Infeasible`](crate::SubmitError::Infeasible)).
+    /// their deadline ([`SubmitRefusal::Infeasible`](crate::SubmitRefusal::Infeasible)).
     infeasible: AtomicU64,
     /// EWMA of observed flush latencies in nanoseconds (the feasibility
     /// estimator's state; single writer — the dispatcher — so plain
@@ -479,7 +479,7 @@ pub struct LaneMetricsSnapshot {
     /// [`ServeError::LaneDied`](crate::ServeError::LaneDied).
     pub died: bool,
     /// Requests refused up front with
-    /// [`SubmitError::Infeasible`](crate::SubmitError::Infeasible): their
+    /// [`SubmitRefusal::Infeasible`](crate::SubmitRefusal::Infeasible): their
     /// predicted queue wait already exceeded their deadline. Counted
     /// separately from [`shed`](Self::shed) (static depth/warming
     /// refusals) so operators can see *measured-latency* shedding.

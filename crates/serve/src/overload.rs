@@ -58,7 +58,7 @@ pub fn predicted_wait(queued: usize, max_batch: usize, ewma_flush: Duration) -> 
 }
 
 /// Feasibility sub-policy of [`ShedPolicy`]: refuse a request up front
-/// ([`SubmitError::Infeasible`](crate::SubmitError::Infeasible)) when its
+/// ([`SubmitRefusal::Infeasible`](crate::SubmitRefusal::Infeasible)) when its
 /// predicted wait exceeds its deadline (see [`admit`]).
 ///
 /// The estimator needs history before it can be trusted: no request is

@@ -22,7 +22,7 @@
 //! While a lane is [`Warming`](LaneState::Warming), blocking submits queue
 //! as usual (parking on the lane's condvar only when the bounded queue
 //! fills), and [`BppsaService::try_submit`] refuses with
-//! [`SubmitError::LaneWarming`] so non-blocking callers can route traffic
+//! [`SubmitRefusal::LaneWarming`] so non-blocking callers can route traffic
 //! elsewhere. The full per-lane state machine is `Warming → Live →
 //! Draining → Retired` (see [`LaneState`]).
 //!
@@ -45,12 +45,12 @@
 //! Every lane queue is bounded by [`ServeConfig::queue_cap`]:
 //! [`BppsaService::submit`] blocks until the dispatcher drains room (memory
 //! stays bounded by `queue_cap` chains + the workspace pool), while
-//! [`BppsaService::try_submit`] returns [`SubmitError::Backpressure`]
+//! [`BppsaService::try_submit`] returns [`SubmitRefusal::Backpressure`]
 //! instead. A [`ShedPolicy`] turns blocking into refusal for requests that
 //! are doomed anyway: beyond a queue-depth threshold, with a delay budget
 //! the lane's warm-up would consume before the first flush
-//! ([`SubmitError::Shed`]), or with a budget the lane's measured flush
-//! latency says it cannot meet ([`SubmitError::Infeasible`]). Every one of
+//! ([`SubmitRefusal::Shed`]), or with a budget the lane's measured flush
+//! latency says it cannot meet ([`SubmitRefusal::Infeasible`]). Every one of
 //! these lane-level decisions — and the warming and backpressure refusals
 //! — is made by the pure [`admit`](crate::admit), in one precedence
 //! order; a refusal hands the chain back and the lane's counters record
@@ -58,7 +58,7 @@
 //! on drop) closes the router and every lane, then joins the dispatchers —
 //! each drains its pending requests first, so every accepted request
 //! completes and every waiter wakes; only *new* submissions are refused
-//! with [`SubmitError::Shutdown`], handing the chain back.
+//! with [`SubmitRefusal::Shutdown`], handing the chain back.
 //!
 //! # Failure domains & supervision
 //!
@@ -72,15 +72,16 @@
 //! [`BreakerPolicy::max_consecutive_panics`] times in a row trips its
 //! circuit breaker: the lane exits [`LaneState::Quarantined`] and its
 //! *shape* enters cool-down — new submits are refused with
-//! [`SubmitError::Quarantined`] until the cool-down elapses, after which
+//! [`SubmitRefusal::Quarantined`] until the cool-down elapses, after which
 //! exactly one **half-open probe** lane tests recovery (one clean flush
 //! restores the shape; one panic re-trips it). Under
 //! [`DeadlinePolicy::Hard`], requests already past their deadline at
 //! batch-assembly time fail with [`ServeError::DeadlineExceeded`] instead
 //! of executing late. All of it is exercised on purpose through the
 //! seeded/scripted [`FaultInjector`](crate::FaultInjector)
-//! ([`ServeConfig::faults`]), and transient refusals are absorbed by the
-//! config's [`RetryPolicy`] via [`BppsaService::submit_retrying`].
+//! ([`ServeConfig::faults`]). The service never retries on a caller's
+//! behalf: a caller that wants to ride out a refusal resubmits the
+//! handed-back chain while [`SubmitRefusal::is_transient`] says it can help.
 //!
 //! # Observability
 //!
@@ -96,7 +97,6 @@
 use crate::fault::{FaultInjector, InjectionPoint};
 use crate::metrics::{FlushCause, LaneMetrics, LaneMetricsSnapshot, LaneState, RetiredRollup};
 use crate::overload::{admit, FeasibilityPolicy, LaneAdmission, LaneView, WatchdogPolicy};
-use crate::retry::RetryPolicy;
 use crate::ticket::{ServeError, Ticket, TicketShared};
 use bppsa_core::{
     chain_matches_shape, BatchedBackward, BppsaOptions, JacobianChain, MemoryBudget, Mru,
@@ -117,7 +117,7 @@ use std::time::{Duration, Instant};
 /// deadline anyway. Disabled by default.
 ///
 /// Shedding is per lane and synchronous: a shed request never enters the
-/// queue, its chain is handed back in [`SubmitError::Shed`], and the lane's
+/// queue, its chain is handed back in [`SubmitRefusal::Shed`], and the lane's
 /// shed counter ([`LaneMetricsSnapshot::shed`]) records the refusal.
 /// [`admit`](crate::admit) applies every threshold here, in its precedence
 /// order.
@@ -137,14 +137,14 @@ pub struct ShedPolicy {
     /// flush could run. The request that *seeds* a lane's warm-up is
     /// exempt (it is the template the plan is built from). Applies to
     /// blocking submits only: non-blocking submits to a warming lane are
-    /// refused earlier with [`SubmitError::LaneWarming`], which is not
+    /// refused earlier with [`SubmitRefusal::LaneWarming`], which is not
     /// counted as a shed.
     pub min_warming_delay: Option<Duration>,
     /// Deadline feasibility in steady state: refuse a request whose delay
     /// budget the lane's own measured flush latency says cannot be met —
     /// predicted wait (queue depth, batch width, EWMA flush latency, see
     /// [`predicted_wait`](crate::predicted_wait)) strictly exceeding the
-    /// budget refuses with [`SubmitError::Infeasible`] (not counted as a
+    /// budget refuses with [`SubmitRefusal::Infeasible`] (not counted as a
     /// shed — [`LaneMetricsSnapshot::infeasible`] records it separately).
     /// Inert until the lane has served
     /// [`FeasibilityPolicy::min_flushes`] flushes, so a cold estimator
@@ -175,7 +175,7 @@ impl ShedPolicy {
 /// keeps accepting traffic. With a breaker armed, the tripped lane exits
 /// [`LaneState::Quarantined`], its still-queued requests fail with
 /// [`ServeError::LaneQuarantined`], and new submits of the shape are
-/// refused up front with [`SubmitError::Quarantined`] until
+/// refused up front with [`SubmitRefusal::Quarantined`] until
 /// [`BreakerPolicy::cooldown`] elapses — then exactly one **half-open
 /// probe** lane is created for the shape (its breaker threshold is 1): one
 /// clean flush restores the shape to full service, one panic re-trips the
@@ -238,7 +238,10 @@ pub enum DeadlinePolicy {
     },
 }
 
-/// Tuning knobs of a [`BppsaService`].
+/// Tuning knobs of a [`BppsaService`]. Lanes size their own workspace
+/// pools (the shared scan pool's worker count + 1, so every worker plus the
+/// dispatcher can hold a workspace without blocking); [`memory`](Self::memory)
+/// bounds what all lanes' pools may allocate together.
 ///
 /// Not `Copy` (the [`FaultInjector`] shares its schedule by `Arc`); clone
 /// freely — a clone shares the same fault schedule and is otherwise a
@@ -253,17 +256,13 @@ pub struct ServeConfig {
     /// flushes below `max_batch`.
     pub max_delay: Duration,
     /// Per-lane pending-request bound; submissions beyond it block (or
-    /// return [`SubmitError::Backpressure`] from
+    /// return [`SubmitRefusal::Backpressure`] from
     /// [`BppsaService::try_submit`]). Must be non-zero.
     pub queue_cap: usize,
     /// Most-recently-used cap on concurrently live lanes (distinct chain
     /// shapes); the least recently used lane beyond it is drained and
     /// retired. Must be non-zero.
     pub max_lanes: usize,
-    /// Workspace-pool capacity per lane; `0` sizes to the shared scan
-    /// pool's worker count + 1 (every worker plus the dispatcher can hold a
-    /// workspace without blocking).
-    pub workspaces_per_lane: usize,
     /// Load-shedding thresholds (disabled by default).
     pub shed: ShedPolicy,
     /// Consecutive-batch-panic circuit breaker + shape quarantine
@@ -272,8 +271,6 @@ pub struct ServeConfig {
     /// What to do with requests already past their deadline at flush
     /// ([`DeadlinePolicy::Soft`] — execute late — by default).
     pub deadline: DeadlinePolicy,
-    /// Budget/backoff/jitter for [`BppsaService::submit_retrying`].
-    pub retry: RetryPolicy,
     /// Fault-injection schedule (the disabled no-op by default — a single
     /// branch per injection point, nothing on the steady-state path).
     pub faults: FaultInjector,
@@ -283,7 +280,7 @@ pub struct ServeConfig {
     /// checkout fall back to blocking on already-owned workspaces instead
     /// of allocating, and lane creation under exhaustion evicts the
     /// least-recently-used lane (or refuses with
-    /// [`SubmitError::MemoryPressure`] when nothing is evictable) — a
+    /// [`SubmitRefusal::MemoryPressure`] when nothing is evictable) — a
     /// shape storm can never allocate past the budget. Share one `Arc`
     /// across services to bound a whole process.
     pub memory: Option<Arc<MemoryBudget>>,
@@ -306,11 +303,9 @@ impl Default for ServeConfig {
             max_delay: Duration::from_millis(1),
             queue_cap: 64,
             max_lanes: bppsa_core::PLAN_CACHE_CAPACITY,
-            workspaces_per_lane: 0,
             shed: ShedPolicy::disabled(),
             breaker: BreakerPolicy::disabled(),
             deadline: DeadlinePolicy::Soft,
-            retry: RetryPolicy::default(),
             faults: FaultInjector::disabled(),
             memory: None,
             watchdog: None,
@@ -325,87 +320,56 @@ impl ServeConfig {
         assert!(self.max_lanes >= 1, "ServeConfig: max_lanes must be >= 1");
         self.shed.validate();
         self.breaker.validate();
-        self.retry.validate();
         if let Some(watchdog) = self.watchdog {
             watchdog.validate();
         }
     }
-
-    fn workspace_capacity(&self) -> usize {
-        if self.workspaces_per_lane == 0 {
-            global_pool().size() + 1
-        } else {
-            self.workspaces_per_lane
-        }
-    }
 }
 
-/// Why a submission was refused; the chain is always handed back for retry
-/// or disposal.
-#[derive(Debug)]
-pub enum SubmitError<S> {
+/// Why a submission was refused. A [`SubmitError`] pairs one with the
+/// handed-back chain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SubmitRefusal {
     /// The service is shutting down (or already shut down).
-    Shutdown(JacobianChain<S>),
+    Shutdown,
     /// [`BppsaService::try_submit`] only: the target lane's queue is full.
-    Backpressure(JacobianChain<S>),
+    Backpressure,
     /// The ticket already has a request in flight — one flight per ticket
     /// at a time.
-    TicketInFlight(JacobianChain<S>),
+    TicketInFlight,
     /// [`BppsaService::try_submit`] only: the target lane is still
     /// [`Warming`](LaneState::Warming) (its plan is being built on the
     /// dispatcher thread). Retry, block via [`BppsaService::submit`], or
     /// route elsewhere.
-    LaneWarming(JacobianChain<S>),
+    LaneWarming,
     /// The [`ShedPolicy`] refused the request (queue too deep, or the delay
     /// budget is infeasible while the lane warms).
-    Shed(JacobianChain<S>),
+    Shed,
     /// The chain's shape is quarantined: a lane of this shape tripped its
     /// [`BreakerPolicy`] (or is mid-probe) and the cool-down has not
     /// produced a successful half-open probe yet. Transient — retry after
-    /// the cool-down (e.g. via [`BppsaService::submit_retrying`]), or
-    /// route the work elsewhere.
-    Quarantined(JacobianChain<S>),
+    /// the cool-down, or route the work elsewhere.
+    Quarantined,
     /// The lane's own measured flush latency says the request cannot meet
     /// its delay budget (see [`ShedPolicy::feasibility`]): the predicted
     /// queue wait already exceeds the deadline, so queueing it would only
     /// burn a batch slot on a guaranteed miss. **Not transient** — an
     /// immediate retry faces the same queue and the same estimate; retry
     /// with a larger budget, or route elsewhere.
-    Infeasible(JacobianChain<S>),
+    Infeasible,
     /// The service is under memory pressure: the configured
     /// [`MemoryBudget`] is exhausted and nothing was evictable, so creating
     /// a lane for this (cold) shape was refused. Transient — pressure
     /// subsides as reservations release (lanes retiring, or the budget's
     /// other holders letting go).
-    MemoryPressure(JacobianChain<S>),
-}
-
-/// The chain-free identity of a [`SubmitError`] — `Copy`, comparable, and
-/// displayable, for surfacing a refusal through layers that must not carry
-/// the (potentially large) chain along, e.g. `bppsa-models`' typed
-/// retry-exhaustion errors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SubmitRefusal {
-    /// See [`SubmitError::Shutdown`].
-    Shutdown,
-    /// See [`SubmitError::Backpressure`].
-    Backpressure,
-    /// See [`SubmitError::TicketInFlight`].
-    TicketInFlight,
-    /// See [`SubmitError::LaneWarming`].
-    LaneWarming,
-    /// See [`SubmitError::Shed`].
-    Shed,
-    /// See [`SubmitError::Quarantined`].
-    Quarantined,
-    /// See [`SubmitError::Infeasible`].
-    Infeasible,
-    /// See [`SubmitError::MemoryPressure`].
     MemoryPressure,
 }
 
 impl SubmitRefusal {
-    /// Whether retrying can ever help: `true` for the transient refusals
+    /// Whether retrying can ever help — the retry contract: a caller that
+    /// wants to ride out refusals resubmits the handed-back chain
+    /// ([`SubmitError::into_chain`]), with a backoff and budget of its own,
+    /// while this is `true`. `true` for the transient refusals
     /// ([`Backpressure`](Self::Backpressure),
     /// [`LaneWarming`](Self::LaneWarming), [`Shed`](Self::Shed),
     /// [`Quarantined`](Self::Quarantined),
@@ -451,53 +415,29 @@ impl std::fmt::Display for SubmitRefusal {
 
 impl std::error::Error for SubmitRefusal {}
 
+/// A refused submission: the [`SubmitRefusal`] and the chain, handed back
+/// for retry or disposal. Displays as its refusal.
+#[derive(Debug)]
+pub struct SubmitError<S> {
+    refusal: SubmitRefusal,
+    chain: JacobianChain<S>,
+}
+
 impl<S> SubmitError<S> {
-    /// The refusal `refusal`, handing `chain` back.
-    fn new(refusal: SubmitRefusal, chain: JacobianChain<S>) -> Self {
-        match refusal {
-            SubmitRefusal::Shutdown => SubmitError::Shutdown(chain),
-            SubmitRefusal::Backpressure => SubmitError::Backpressure(chain),
-            SubmitRefusal::TicketInFlight => SubmitError::TicketInFlight(chain),
-            SubmitRefusal::LaneWarming => SubmitError::LaneWarming(chain),
-            SubmitRefusal::Shed => SubmitError::Shed(chain),
-            SubmitRefusal::Quarantined => SubmitError::Quarantined(chain),
-            SubmitRefusal::Infeasible => SubmitError::Infeasible(chain),
-            SubmitRefusal::MemoryPressure => SubmitError::MemoryPressure(chain),
-        }
+    /// Why the submission was refused.
+    pub fn kind(&self) -> SubmitRefusal {
+        self.refusal
     }
 
     /// Reclaims the refused chain.
     pub fn into_chain(self) -> JacobianChain<S> {
-        match self {
-            SubmitError::Shutdown(c)
-            | SubmitError::Backpressure(c)
-            | SubmitError::TicketInFlight(c)
-            | SubmitError::LaneWarming(c)
-            | SubmitError::Shed(c)
-            | SubmitError::Quarantined(c)
-            | SubmitError::Infeasible(c)
-            | SubmitError::MemoryPressure(c) => c,
-        }
-    }
-
-    /// The refusal's chain-free identity (see [`SubmitRefusal`]).
-    pub fn kind(&self) -> SubmitRefusal {
-        match self {
-            SubmitError::Shutdown(_) => SubmitRefusal::Shutdown,
-            SubmitError::Backpressure(_) => SubmitRefusal::Backpressure,
-            SubmitError::TicketInFlight(_) => SubmitRefusal::TicketInFlight,
-            SubmitError::LaneWarming(_) => SubmitRefusal::LaneWarming,
-            SubmitError::Shed(_) => SubmitRefusal::Shed,
-            SubmitError::Quarantined(_) => SubmitRefusal::Quarantined,
-            SubmitError::Infeasible(_) => SubmitRefusal::Infeasible,
-            SubmitError::MemoryPressure(_) => SubmitRefusal::MemoryPressure,
-        }
+        self.chain
     }
 }
 
 impl<S> std::fmt::Display for SubmitError<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.kind().fmt(f)
+        self.refusal.fmt(f)
     }
 }
 
@@ -586,7 +526,7 @@ enum Admission {
     /// Not quarantined: route normally.
     Clear,
     /// Quarantined and cooling down (or a probe is already in flight):
-    /// refuse with [`SubmitError::Quarantined`].
+    /// refuse with [`SubmitRefusal::Quarantined`].
     Refuse,
     /// Cool-down elapsed and this caller won the half-open slot: create
     /// the lane as a **probe** (breaker threshold 1; its first clean flush
@@ -961,13 +901,14 @@ fn warm_up<S: Scalar>(lane: &Lane<S>, config: &ServeConfig) -> bool {
     let warm_start = Instant::now();
     let built = catch_unwind(AssertUnwindSafe(|| {
         // Injection point: a scripted/seeded plan panic exercises the
-        // PlanPanicked drain (and plan-panic quarantine); a stall extends
-        // the Warming window deterministically.
+        // PlanPanicked drain (and plan-panic quarantine).
         lane.faults
             .fire(InjectionPoint::PlanBuild { lane: lane.lane_id });
         let options = lane_plan_options(template.num_layers());
         let plan = Arc::new(PlannedScan::plan(&template, options));
-        let capacity = config.workspace_capacity();
+        // Every scan worker plus the dispatcher can hold a workspace
+        // without blocking.
+        let capacity = global_pool().size() + 1;
         // A configured memory budget makes pool growth a *reservation*:
         // prewarming stops at the budget (best effort) and steady-state
         // checkout falls back to blocking on already-owned workspaces
@@ -1512,7 +1453,7 @@ struct ServiceShared<S> {
     /// miss path, never the other way around.
     book: Arc<QuarantineBook>,
     router: Mutex<Router<S>>,
-    /// Submits refused with [`SubmitError::MemoryPressure`]. Laneless by
+    /// Submits refused with [`SubmitRefusal::MemoryPressure`]. Laneless by
     /// nature (the refusal happens *instead of* creating a lane), so it is
     /// counted here, not in any lane's metrics, and never folds into the
     /// [`RetiredRollup`].
@@ -1646,7 +1587,7 @@ impl<S> BppsaService<S> {
     }
 
     /// How many submissions were refused at the door because their shape
-    /// was quarantined ([`SubmitError::Quarantined`]). Realized refusal
+    /// was quarantined ([`SubmitRefusal::Quarantined`]). Realized refusal
     /// work is one shape comparison under a leaf lock — no lane, queue, or
     /// planner is touched.
     pub fn quarantine_refusals(&self) -> u64 {
@@ -1661,7 +1602,7 @@ impl<S> BppsaService<S> {
     }
 
     /// How many submissions were refused with
-    /// [`SubmitError::MemoryPressure`] (memory budget exhausted with
+    /// [`SubmitRefusal::MemoryPressure`] (memory budget exhausted with
     /// nothing evictable). Laneless — these refusals happen *instead of*
     /// creating a lane, so they appear here rather than in any lane's
     /// metrics or the retired rollup.
@@ -1723,11 +1664,11 @@ impl<S: Scalar> BppsaService<S> {
     ///
     /// # Errors
     ///
-    /// [`SubmitError::Shutdown`] when the service is shutting down,
-    /// [`SubmitError::TicketInFlight`] when `ticket` already has a pending
-    /// request, [`SubmitError::Quarantined`] or
-    /// [`SubmitError::MemoryPressure`] when no lane may be created for the
-    /// shape, and [`SubmitError::Shed`] or [`SubmitError::Infeasible`]
+    /// [`SubmitRefusal::Shutdown`] when the service is shutting down,
+    /// [`SubmitRefusal::TicketInFlight`] when `ticket` already has a pending
+    /// request, [`SubmitRefusal::Quarantined`] or
+    /// [`SubmitRefusal::MemoryPressure`] when no lane may be created for the
+    /// shape, and [`SubmitRefusal::Shed`] or [`SubmitRefusal::Infeasible`]
     /// when [`admit`](crate::admit) refuses the request under the
     /// configured [`ShedPolicy`]; all hand the chain back.
     ///
@@ -1742,23 +1683,26 @@ impl<S: Scalar> BppsaService<S> {
         ticket: &Ticket<S>,
     ) -> Result<(), SubmitError<S>> {
         self.submit_inner(chain, delay, ticket, true)
-            .map_err(|e| match e {
-                SubmitError::Backpressure(_) | SubmitError::LaneWarming(_) => {
-                    unreachable!("blocking submit queues instead of refusing room/warm-up")
-                }
-                other => other,
+            .inspect_err(|e| {
+                assert!(
+                    !matches!(
+                        e.refusal,
+                        SubmitRefusal::Backpressure | SubmitRefusal::LaneWarming
+                    ),
+                    "blocking submit queues instead of refusing room/warm-up"
+                );
             })
     }
 
     /// Non-blocking [`BppsaService::submit`]: a full lane queue returns
-    /// [`SubmitError::Backpressure`] (with the chain) instead of waiting,
-    /// and a still-warming lane returns [`SubmitError::LaneWarming`] unless
+    /// [`SubmitRefusal::Backpressure`] (with the chain) instead of waiting,
+    /// and a still-warming lane returns [`SubmitRefusal::LaneWarming`] unless
     /// this very request is the one that created it.
     ///
     /// # Errors
     ///
     /// As [`BppsaService::submit_with_delay`], plus
-    /// [`SubmitError::Backpressure`] and [`SubmitError::LaneWarming`].
+    /// [`SubmitRefusal::Backpressure`] and [`SubmitRefusal::LaneWarming`].
     pub fn try_submit(
         &self,
         chain: JacobianChain<S>,
@@ -1785,7 +1729,10 @@ impl<S: Scalar> BppsaService<S> {
         // miss path); [`FlightGuard`] returns the ticket to idle across
         // that unwind.
         if !shared.begin_flight() {
-            return Err(SubmitError::new(SubmitRefusal::TicketInFlight, chain));
+            return Err(SubmitError {
+                refusal: SubmitRefusal::TicketInFlight,
+                chain,
+            });
         }
         let mut chain = chain;
         let refusal = loop {
@@ -1811,7 +1758,7 @@ impl<S: Scalar> BppsaService<S> {
             }
         };
         shared.abort_flight();
-        Err(SubmitError::new(refusal, chain))
+        Err(SubmitError { refusal, chain })
     }
 
     /// Finds (MRU) or creates the lane whose shape key matches `chain`;
@@ -1958,63 +1905,6 @@ impl<S: Scalar> BppsaService<S> {
             .expect("spawn serve watchdog supervisor");
         *slot = Some(handle);
     }
-
-    /// [`BppsaService::submit`] wrapped in the configured
-    /// [`ServeConfig::retry`] policy: transient refusals
-    /// ([`SubmitRefusal::is_transient`]) are retried with exponential
-    /// backoff until the policy's budget is spent, then the last refusal is
-    /// returned. [`SubmitError::Shutdown`] and
-    /// [`SubmitError::TicketInFlight`] return immediately.
-    ///
-    /// # Errors
-    ///
-    /// As [`BppsaService::submit`], once the retry budget is exhausted.
-    pub fn submit_retrying(
-        &self,
-        chain: JacobianChain<S>,
-        ticket: &Ticket<S>,
-    ) -> Result<(), SubmitError<S>> {
-        self.submit_retrying_with_delay(chain, self.shared.config.max_delay, ticket)
-    }
-
-    /// [`BppsaService::submit_with_delay`] wrapped in the configured
-    /// [`ServeConfig::retry`] policy; see [`BppsaService::submit_retrying`].
-    ///
-    /// # Errors
-    ///
-    /// As [`BppsaService::submit_with_delay`], once the retry budget is
-    /// exhausted.
-    pub fn submit_retrying_with_delay(
-        &self,
-        chain: JacobianChain<S>,
-        delay: Duration,
-        ticket: &Ticket<S>,
-    ) -> Result<(), SubmitError<S>> {
-        let policy = self.shared.config.retry;
-        let start = Instant::now();
-        let mut attempt: u32 = 0;
-        let mut chain = chain;
-        loop {
-            match self.submit_with_delay(chain, delay, ticket) {
-                Ok(()) => return Ok(()),
-                Err(e) if !e.kind().is_transient() => return Err(e),
-                Err(e) => {
-                    let elapsed = start.elapsed();
-                    if elapsed >= policy.budget {
-                        return Err(e);
-                    }
-                    // Never sleep past the budget: the last wait is clipped
-                    // so retry exhaustion is observed promptly.
-                    let backoff = policy.backoff_for(attempt).min(policy.budget - elapsed);
-                    if !backoff.is_zero() {
-                        std::thread::sleep(backoff);
-                    }
-                    chain = e.into_chain();
-                    attempt += 1;
-                }
-            }
-        }
-    }
 }
 
 impl<S> Drop for BppsaService<S> {
@@ -2087,7 +1977,6 @@ mod tests {
             max_delay: Duration::from_micros(500),
             queue_cap: 16,
             max_lanes: 4,
-            workspaces_per_lane: 0,
             shed: ShedPolicy::disabled(),
             ..ServeConfig::default()
         }
@@ -2177,7 +2066,6 @@ mod tests {
             max_delay: Duration::from_millis(400),
             queue_cap: 16,
             max_lanes: 2,
-            workspaces_per_lane: 0,
             shed: ShedPolicy::disabled(),
             ..ServeConfig::default()
         });
@@ -2293,7 +2181,7 @@ mod tests {
         ticket.wait().expect("drained before retiring");
         let refused = service.submit(sparse_chain(4, 6, 21), &Ticket::new());
         let chain = match refused {
-            Err(SubmitError::Shutdown(chain)) => chain,
+            Err(e) if e.kind() == SubmitRefusal::Shutdown => e.into_chain(),
             other => panic!("expected Shutdown, got {other:?}"),
         };
         assert_eq!(chain.num_layers(), 4, "chain handed back intact");
@@ -2309,7 +2197,10 @@ mod tests {
             .submit(sparse_chain(4, 6, 30), &ticket)
             .expect("accepting");
         let second = service.submit(sparse_chain(4, 6, 31), &ticket);
-        assert!(matches!(second, Err(SubmitError::TicketInFlight(_))));
+        assert_eq!(
+            second.map_err(|e| e.kind()),
+            Err(SubmitRefusal::TicketInFlight)
+        );
         ticket.wait().expect("first request still completes");
     }
 
@@ -2322,7 +2213,6 @@ mod tests {
             max_delay: Duration::from_millis(200),
             queue_cap: 1,
             max_lanes: 2,
-            workspaces_per_lane: 1,
             shed: ShedPolicy::disabled(),
             ..ServeConfig::default()
         };
@@ -2341,7 +2231,7 @@ mod tests {
         let t2 = Ticket::new();
         let refused = service.try_submit(revalue(&template, 42), &t2);
         match refused {
-            Err(SubmitError::Backpressure(_)) => {}
+            Err(e) if e.kind() == SubmitRefusal::Backpressure => {}
             // The queued request can flush between the state poll and the
             // try_submit, leaving room; then the submit legitimately lands.
             Ok(()) => {
@@ -2367,7 +2257,6 @@ mod tests {
             max_delay: Duration::from_millis(100),
             queue_cap: 16,
             max_lanes: 2,
-            workspaces_per_lane: 1,
             shed: ShedPolicy::disabled(),
             ..ServeConfig::default()
         });
@@ -2379,7 +2268,8 @@ mod tests {
         let follower = Ticket::new();
         let refused = service.try_submit(revalue(&template, 72), &follower);
         match refused {
-            Err(SubmitError::LaneWarming(chain)) => {
+            Err(e) if e.kind() == SubmitRefusal::LaneWarming => {
+                let chain = e.into_chain();
                 assert_eq!(chain.num_layers(), 60, "chain handed back intact");
                 // The refusal left the ticket idle and the lane serving.
                 service
@@ -2405,7 +2295,6 @@ mod tests {
             max_delay: Duration::from_millis(200),
             queue_cap: 8,
             max_lanes: 2,
-            workspaces_per_lane: 1,
             shed: ShedPolicy {
                 max_queue_depth: Some(1),
                 min_warming_delay: None,
@@ -2421,7 +2310,8 @@ mod tests {
         let t2 = Ticket::new();
         let refused = service.submit(revalue(&template, 82), &t2);
         match refused {
-            Err(SubmitError::Shed(chain)) => {
+            Err(e) if e.kind() == SubmitRefusal::Shed => {
+                let chain = e.into_chain();
                 assert_eq!(chain.num_layers(), 4, "chain handed back intact");
                 let snap = &service.metrics()[0];
                 assert!(snap.shed >= 1, "shed counter records the refusal");
@@ -2574,42 +2464,42 @@ mod tests {
     }
 
     #[test]
-    fn zero_retry_budget_returns_the_first_refusal_without_spinning() {
-        // RetryPolicy::none() (budget == Duration::ZERO): a transient
-        // refusal must come back after exactly one attempt — no backoff
-        // sleep, no spin loop — because any elapsed time satisfies
-        // `elapsed >= budget`. A shed-armed lane with one parked request
-        // makes the refusal deterministic.
-        let mut config = quick_config();
-        config.max_delay = Duration::from_secs(60);
-        config.max_batch = 8;
-        config.retry = RetryPolicy::none();
-        config.shed = ShedPolicy {
-            max_queue_depth: Some(1),
-            min_warming_delay: None,
-            feasibility: None,
-        };
-        let service = BppsaService::<f64>::new(config);
-        let template = sparse_chain(4, 6, 120);
-        let parked = Ticket::new();
-        service
-            .submit(revalue(&template, 121), &parked)
-            .expect("first request parks under the minute budget");
-
-        let doomed = Ticket::new();
-        let start = Instant::now();
-        let refused = service.submit_retrying(revalue(&template, 122), &doomed);
-        let elapsed = start.elapsed();
-        let Err(SubmitError::Shed(chain)) = refused else {
-            panic!("expected a shed refusal, got {refused:?}");
-        };
-        assert_eq!(chain.num_layers(), template.num_layers(), "chain returned");
-        assert!(
-            elapsed < Duration::from_secs(5),
-            "zero budget must not spin through backoff sleeps: {elapsed:?}"
-        );
+    fn refusals_pin_the_retry_contract_and_hand_the_chain_back() {
+        // `is_transient` is the whole retry contract a caller loops on:
+        // every refusal's answer is pinned here.
+        let chain = sparse_chain(3, 5, 120);
+        for (refusal, transient) in [
+            (SubmitRefusal::Shutdown, false),
+            (SubmitRefusal::Backpressure, true),
+            (SubmitRefusal::TicketInFlight, false),
+            (SubmitRefusal::LaneWarming, true),
+            (SubmitRefusal::Shed, true),
+            (SubmitRefusal::Quarantined, true),
+            (SubmitRefusal::Infeasible, false),
+            (SubmitRefusal::MemoryPressure, true),
+        ] {
+            assert_eq!(refusal.is_transient(), transient, "{refusal:?}");
+            let e = SubmitError {
+                refusal,
+                chain: chain.clone(),
+            };
+            assert_eq!(e.kind(), refusal);
+            assert_eq!(
+                e.to_string(),
+                refusal.to_string(),
+                "displays as its refusal"
+            );
+        }
+        // A real refusal hands back exactly the chain that was submitted.
+        let service = BppsaService::<f64>::new(quick_config());
         service.shutdown();
-        parked.wait().expect("parked request drains on shutdown");
+        let refused = service
+            .submit(chain.clone(), &Ticket::new())
+            .expect_err("a shut-down service refuses");
+        assert_eq!(refused.to_string(), SubmitRefusal::Shutdown.to_string());
+        let back = refused.into_chain();
+        assert_eq!(back.seed(), chain.seed());
+        assert_eq!(back.jacobians(), chain.jacobians());
     }
 
     #[test]
@@ -2665,7 +2555,10 @@ mod tests {
             .expect("accepting");
         let new_shape = sparse_chain(6, 7, 96);
         let refused = service.try_submit(revalue(&new_shape, 97), &busy);
-        assert!(matches!(refused, Err(SubmitError::TicketInFlight(_))));
+        assert_eq!(
+            refused.map_err(|e| e.kind()),
+            Err(SubmitRefusal::TicketInFlight)
+        );
         assert_eq!(
             service.lanes_created(),
             1,

@@ -43,7 +43,7 @@ pub enum ServeError {
     /// and failed its whole queue with this error (chains handed back).
     /// Until the cool-down elapses, *new* submits of the shape are refused
     /// up front with
-    /// [`SubmitError::Quarantined`](crate::SubmitError::Quarantined).
+    /// [`SubmitRefusal::Quarantined`](crate::SubmitRefusal::Quarantined).
     LaneQuarantined,
     /// Under [`DeadlinePolicy::Hard`](crate::DeadlinePolicy::Hard), this
     /// request was already past its deadline (by more than the configured

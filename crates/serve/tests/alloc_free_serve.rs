@@ -137,7 +137,6 @@ fn steady_state_served_requests_are_allocation_free() {
         max_delay: Duration::from_millis(10),
         queue_cap: 16,
         max_lanes: 2,
-        workspaces_per_lane: 0,
         shed: bppsa_serve::ShedPolicy {
             feasibility: Some(bppsa_serve::FeasibilityPolicy { min_flushes: 2 }),
             ..bppsa_serve::ShedPolicy::disabled()

@@ -20,7 +20,7 @@
 use bppsa_core::{BppsaOptions, JacobianChain, PlannedScan, ScanElement};
 use bppsa_serve::{
     BppsaService, BreakerPolicy, DeadlinePolicy, FaultInjector, FaultRates, FaultScript, LaneState,
-    RetryPolicy, ServeConfig, ServeError, ShedPolicy, SubmitError, SubmitRefusal, Ticket,
+    ServeConfig, ServeError, ShedPolicy, SubmitError, SubmitRefusal, Ticket,
 };
 use bppsa_sparse::Csr;
 use bppsa_tensor::init::{seeded_rng, uniform_vector};
@@ -82,20 +82,38 @@ fn must_terminate(ticket: &Ticket<f64>, what: &str) -> Result<(), ServeError> {
         .unwrap_or_else(|| panic!("{what}: ticket still pending after {TERMINAL:?} (hung)"))
 }
 
+/// The retry loop a caller writes on the refusal contract: resubmit the
+/// handed-back chain every 2 ms while the refusal is transient and 5 s
+/// have not passed; otherwise return the outcome as it stands.
+fn submit_while_transient(
+    service: &BppsaService<f64>,
+    chain: JacobianChain<f64>,
+    ticket: &Ticket<f64>,
+) -> Result<(), SubmitError<f64>> {
+    let start = Instant::now();
+    let mut chain = chain;
+    loop {
+        match service.submit(chain, ticket) {
+            Err(e) if e.kind().is_transient() && start.elapsed() < Duration::from_secs(5) => {
+                std::thread::sleep(Duration::from_millis(2));
+                chain = e.into_chain();
+            }
+            outcome => return outcome,
+        }
+    }
+}
+
 fn breaker_config(max_batch: usize, cooldown: Duration) -> ServeConfig {
     ServeConfig {
         max_batch,
         max_delay: Duration::from_micros(300),
         queue_cap: 32,
         max_lanes: 4,
-        workspaces_per_lane: 1,
         shed: ShedPolicy::disabled(),
         breaker: BreakerPolicy {
             max_consecutive_panics: Some(2),
             cooldown,
         },
-        // Chaos tests assert refusals, not absorb them.
-        retry: RetryPolicy::none(),
         ..ServeConfig::default()
     }
 }
@@ -139,12 +157,8 @@ fn breaker_trips_after_streak_refuses_in_cooldown_and_probe_recovers() {
     // During cool-down the shape is refused at the door, chain handed back.
     let ticket = Ticket::new();
     match service.submit(revalue(&template, 30), &ticket) {
-        Err(SubmitError::Quarantined(chain)) => {
-            assert_eq!(chain.num_layers(), 5, "chain handed back intact");
-            assert_eq!(
-                SubmitError::Quarantined(chain).kind(),
-                SubmitRefusal::Quarantined
-            );
+        Err(e) if e.kind() == SubmitRefusal::Quarantined => {
+            assert_eq!(e.into_chain().num_layers(), 5, "chain handed back intact");
         }
         other => panic!("expected Quarantined during cool-down, got {other:?}"),
     }
@@ -321,7 +335,7 @@ fn plan_panic_with_breaker_quarantines_shape_immediately() {
 
     let refusal = Ticket::new();
     match service.submit(revalue(&template, 41), &refusal) {
-        Err(SubmitError::Quarantined(_)) => {}
+        Err(e) if e.kind() == SubmitRefusal::Quarantined => {}
         other => panic!("expected Quarantined after plan panic, got {other:?}"),
     }
 
@@ -488,13 +502,11 @@ fn seeded_storm_every_ticket_terminal_results_exact_and_conserved() {
         max_delay: Duration::from_micros(200),
         queue_cap: 16,
         max_lanes: SHAPES,
-        workspaces_per_lane: 1,
         shed: ShedPolicy::disabled(),
         breaker: BreakerPolicy {
             max_consecutive_panics: Some(2),
             cooldown: Duration::from_millis(20),
         },
-        retry: RetryPolicy::none(),
         faults: FaultInjector::seeded(
             0xC4A0_5BAD,
             FaultRates {
@@ -588,18 +600,11 @@ fn seeded_storm_every_ticket_terminal_results_exact_and_conserved() {
 
 #[test]
 fn retrying_submit_rides_out_a_quarantine_window() {
-    // A retry policy whose budget comfortably covers the breaker cool-down
+    // A retry loop whose budget comfortably covers the breaker cool-down
     // turns the Quarantined refusal into a wait-and-probe: the caller sees
     // only Ok.
     let cooldown = Duration::from_millis(40);
     let mut config = breaker_config(1, cooldown);
-    config.retry = RetryPolicy {
-        budget: Duration::from_secs(5),
-        initial_backoff: Duration::from_millis(2),
-        max_backoff: Duration::from_millis(10),
-        jitter: 0.25,
-        jitter_seed: 7,
-    };
     config.faults = FaultInjector::scripted(FaultScript::new().batch_panic_times(0, 2));
     let service = BppsaService::<f64>::new(config);
     let template = sparse_chain(4, 5, 16);
@@ -612,14 +617,12 @@ fn retrying_submit_rides_out_a_quarantine_window() {
         assert!(must_terminate(&ticket, "tripping batch").is_err());
         let _ = ticket.take_chain();
     }
-    // Trip pending on the dispatcher thread; submit_retrying absorbs both
+    // Trip pending on the dispatcher thread; the retry loop absorbs both
     // the in-flight race and the whole cool-down window.
     let chain = revalue(&template, 92);
     let expect = reference(&chain);
     let ticket = Ticket::new();
-    service
-        .submit_retrying(chain, &ticket)
-        .expect("retry policy rides out the quarantine");
+    submit_while_transient(&service, chain, &ticket).expect("retry loop rides out the quarantine");
     assert_eq!(must_terminate(&ticket, "retried submit"), Ok(()));
     ticket.with_result(|r| {
         for (g, e) in r.grads().iter().zip(&expect) {

@@ -74,7 +74,6 @@ fn hot_lane_unaffected_while_cold_shape_warms() {
         max_delay: Duration::from_millis(1),
         queue_cap: 16,
         max_lanes: 4,
-        workspaces_per_lane: 1,
         shed: ShedPolicy::disabled(),
         ..ServeConfig::default()
     });

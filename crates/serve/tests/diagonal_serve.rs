@@ -25,7 +25,6 @@ fn service(max_batch: usize) -> BppsaService<f64> {
         max_delay: Duration::from_micros(200),
         queue_cap: 32,
         max_lanes: 2,
-        workspaces_per_lane: 0,
         shed: ShedPolicy::disabled(),
         ..ServeConfig::default()
     })

@@ -60,7 +60,6 @@ fn config(max_batch: usize) -> ServeConfig {
         max_delay: Duration::from_secs(60),
         queue_cap: 16,
         max_lanes: 2,
-        workspaces_per_lane: 0,
         shed: ShedPolicy::disabled(),
         ..ServeConfig::default()
     }
@@ -337,7 +336,6 @@ fn retired_lanes_fold_into_a_bounded_registry_that_reconciles() {
     const SHAPES: usize = RETIRED_METRICS_CAP + 8;
     let service = BppsaService::<f64>::new(ServeConfig {
         max_lanes: 1,
-        workspaces_per_lane: 1,
         ..config(1)
     });
     let ticket = Ticket::new();

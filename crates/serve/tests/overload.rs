@@ -5,7 +5,7 @@
 //!
 //! 1. **Doomed requests are refused, not queued.** Once the EWMA flush
 //!    estimator is trained, a request whose delay budget the queue cannot
-//!    meet fails fast with [`SubmitError::Infeasible`], chain handed back.
+//!    meet fails fast with [`SubmitRefusal::Infeasible`], chain handed back.
 //!    The estimator has counted a flush by the time that flush's tickets
 //!    resolve, so a client acting on a result already faces the trained
 //!    gate.
@@ -23,8 +23,8 @@
 use bppsa_core::{BppsaOptions, JacobianChain, PlannedScan, ScanElement};
 use bppsa_serve::{
     lane_plan_options, BppsaService, BreakerPolicy, FaultInjector, FaultRates, FaultScript,
-    FeasibilityPolicy, LaneState, MemoryBudget, RetryPolicy, ServeConfig, ServeError, ShedPolicy,
-    SubmitError, SubmitRefusal, Ticket, WatchdogPolicy,
+    FeasibilityPolicy, LaneState, MemoryBudget, ServeConfig, ServeError, ShedPolicy, SubmitError,
+    SubmitRefusal, Ticket, WatchdogPolicy,
 };
 use bppsa_sparse::Csr;
 use bppsa_tensor::init::{seeded_rng, uniform_vector};
@@ -87,6 +87,28 @@ fn must_terminate(ticket: &Ticket<f64>, what: &str) -> Result<(), ServeError> {
         .unwrap_or_else(|| panic!("{what}: ticket still pending after {TERMINAL:?} (hung)"))
 }
 
+/// The retry loop a caller writes on the refusal contract: resubmit the
+/// handed-back chain every millisecond while the refusal is transient and
+/// 5 s have not passed; otherwise return the outcome as it stands.
+fn submit_while_transient(
+    service: &BppsaService<f64>,
+    chain: JacobianChain<f64>,
+    delay: Duration,
+    ticket: &Ticket<f64>,
+) -> Result<(), SubmitError<f64>> {
+    let start = Instant::now();
+    let mut chain = chain;
+    loop {
+        match service.submit_with_delay(chain, delay, ticket) {
+            Err(e) if e.kind().is_transient() && start.elapsed() < Duration::from_secs(5) => {
+                std::thread::sleep(Duration::from_millis(1));
+                chain = e.into_chain();
+            }
+            outcome => return outcome,
+        }
+    }
+}
+
 fn assert_exact(ticket: &Ticket<f64>, expect: &[Vec<f64>], what: &str) {
     ticket.with_result(|r| {
         for (g, e) in r.grads().iter().zip(expect) {
@@ -108,13 +130,11 @@ fn watchdog_condemns_wedged_flush_within_budget_and_probe_recovers() {
         max_delay: Duration::from_micros(200),
         queue_cap: 32,
         max_lanes: 4,
-        workspaces_per_lane: 1,
         shed: ShedPolicy::disabled(),
         breaker: BreakerPolicy {
             max_consecutive_panics: Some(2),
             cooldown,
         },
-        retry: RetryPolicy::none(),
         watchdog: Some(WatchdogPolicy {
             stall_budget: Duration::from_millis(40),
             poll_interval: Duration::from_millis(5),
@@ -169,7 +189,7 @@ fn watchdog_condemns_wedged_flush_within_budget_and_probe_recovers() {
     }
     let refused = Ticket::new();
     match service.submit(revalue(&template, 220), &refused) {
-        Err(SubmitError::Quarantined(_)) => {}
+        Err(e) if e.kind() == SubmitRefusal::Quarantined => {}
         other => panic!("expected Quarantined during cool-down, got {other:?}"),
     }
 
@@ -205,15 +225,10 @@ fn feasibility_gate_trains_on_flush_latency_and_refuses_doomed_requests() {
         max_delay: Duration::from_millis(40),
         queue_cap: 32,
         max_lanes: 2,
-        workspaces_per_lane: 1,
         shed: ShedPolicy {
             feasibility: Some(FeasibilityPolicy { min_flushes: 1 }),
             ..ShedPolicy::disabled()
         },
-        // Retry armed on purpose: Infeasible is *not* transient, so the
-        // retrying submit below must return it immediately instead of
-        // burning the 5 s budget re-asking the same queue.
-        retry: RetryPolicy::default(),
         faults: FaultInjector::scripted(FaultScript::new().flush_stall(0, 0, TRAIN_STALL)),
         ..ServeConfig::default()
     };
@@ -248,10 +263,13 @@ fn feasibility_gate_trains_on_flush_latency_and_refuses_doomed_requests() {
     let doomed = revalue(&template, 321);
     let asked = Instant::now();
     let rejected = Ticket::new();
-    match service.submit_retrying_with_delay(doomed, Duration::from_micros(100), &rejected) {
-        Err(SubmitError::Infeasible(chain)) => {
-            assert_eq!(chain.num_layers(), 4, "chain handed back intact");
-            assert!(!SubmitError::Infeasible(chain).kind().is_transient());
+    // Submitted through the retry loop on purpose: Infeasible is *not*
+    // transient, so the loop must return it immediately instead of burning
+    // its 5 s budget re-asking the same queue.
+    match submit_while_transient(&service, doomed, Duration::from_micros(100), &rejected) {
+        Err(e) if e.kind() == SubmitRefusal::Infeasible => {
+            assert!(!e.kind().is_transient());
+            assert_eq!(e.into_chain().num_layers(), 4, "chain handed back intact");
         }
         other => panic!("expected Infeasible, got {other:?}"),
     }
@@ -297,7 +315,6 @@ fn flush_latency_is_recorded_before_tickets_resolve() {
         max_delay: Duration::from_micros(200),
         queue_cap: 4,
         max_lanes: 2,
-        workspaces_per_lane: 1,
         shed: ShedPolicy {
             feasibility: Some(FeasibilityPolicy { min_flushes: 1 }),
             ..ShedPolicy::disabled()
@@ -334,14 +351,6 @@ fn external_memory_pressure_refuses_cold_shapes_and_retry_rides_out_release() {
         max_delay: Duration::from_micros(300),
         queue_cap: 8,
         max_lanes: 2,
-        workspaces_per_lane: 1,
-        retry: RetryPolicy {
-            budget: Duration::from_secs(5),
-            initial_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(5),
-            jitter: 0.25,
-            jitter_seed: 3,
-        },
         memory: Some(Arc::clone(&budget)),
         ..ServeConfig::default()
     };
@@ -350,18 +359,18 @@ fn external_memory_pressure_refuses_cold_shapes_and_retry_rides_out_release() {
 
     let ticket = Ticket::new();
     match service.submit(revalue(&template, 410), &ticket) {
-        Err(SubmitError::MemoryPressure(chain)) => {
-            assert_eq!(chain.num_layers(), 4, "chain handed back intact");
+        Err(e) if e.kind() == SubmitRefusal::MemoryPressure => {
             assert!(
-                SubmitError::MemoryPressure(chain).kind().is_transient(),
+                e.kind().is_transient(),
                 "memory pressure subsides as reservations release — retryable"
             );
+            assert_eq!(e.into_chain().num_layers(), 4, "chain handed back intact");
         }
         other => panic!("expected MemoryPressure with nothing evictable, got {other:?}"),
     }
     assert_eq!(service.memory_refusals(), 1);
 
-    // Release the external hold mid-retry: submit_retrying treats the
+    // Release the external hold mid-retry: the retry loop treats the
     // refusal as transient and lands once headroom appears.
     let releaser = {
         let budget = Arc::clone(&budget);
@@ -373,8 +382,7 @@ fn external_memory_pressure_refuses_cold_shapes_and_retry_rides_out_release() {
     let chain = revalue(&template, 411);
     let expect = reference(&chain);
     let retried = Ticket::new();
-    service
-        .submit_retrying(chain, &retried)
+    submit_while_transient(&service, chain, service.config().max_delay, &retried)
         .expect("retry rides out the pressure window");
     assert_eq!(must_terminate(&retried, "retried submit"), Ok(()));
     assert_exact(&retried, &expect, "retried submit");
@@ -405,8 +413,6 @@ fn shape_storm_peak_reservation_never_exceeds_budget() {
         max_delay: Duration::from_micros(200),
         queue_cap: 8,
         max_lanes: 1,
-        workspaces_per_lane: 1,
-        retry: RetryPolicy::none(),
         memory: Some(Arc::clone(&budget)),
         ..ServeConfig::default()
     };
@@ -464,13 +470,11 @@ fn overload_storm_conserves_every_submission() {
         max_delay: Duration::from_micros(300),
         queue_cap: 3,
         max_lanes: SHAPES,
-        workspaces_per_lane: 1,
         shed: ShedPolicy {
             max_queue_depth: Some(2),
             feasibility: Some(FeasibilityPolicy { min_flushes: 2 }),
             ..ShedPolicy::disabled()
         },
-        retry: RetryPolicy::none(),
         faults: FaultInjector::seeded(
             0x0E11_0CAD,
             FaultRates {

@@ -10,7 +10,7 @@
 //!    and re-create lanes without losing any in-flight request.
 
 use bppsa_core::{BppsaOptions, JacobianChain, PlannedScan, ScanElement};
-use bppsa_serve::{BppsaService, ServeConfig, ShedPolicy, SubmitError, Ticket};
+use bppsa_serve::{BppsaService, ServeConfig, ShedPolicy, SubmitRefusal, Ticket};
 use bppsa_sparse::Csr;
 use bppsa_tensor::init::{seeded_rng, uniform_vector};
 use bppsa_tensor::Matrix;
@@ -97,7 +97,6 @@ fn mixed_shape_multi_producer_traffic_is_exact_and_lossless() {
         max_delay: Duration::from_micros(300),
         queue_cap: 32,
         max_lanes: SHAPES - 1, // force MRU eviction under load
-        workspaces_per_lane: 0,
         shed: ShedPolicy::disabled(),
         ..ServeConfig::default()
     });
@@ -204,7 +203,6 @@ fn shed_policy_stress_every_ticket_completes_or_sheds() {
         max_delay: Duration::from_micros(100),
         queue_cap: 4,
         max_lanes: SHED_SHAPES, // no eviction: the counters must reconcile
-        workspaces_per_lane: 0,
         shed: ShedPolicy {
             max_queue_depth: Some(2),
             min_warming_delay: Some(Duration::from_micros(50)),
@@ -250,9 +248,10 @@ fn shed_policy_stress_every_ticket_completes_or_sheds() {
                                 let _ = ticket.take_chain();
                                 completed += 1;
                             }
-                            Err(SubmitError::Shed(chain)) => {
+                            Err(e) if e.kind() == SubmitRefusal::Shed => {
                                 // The refusal hands the chain back intact and
                                 // leaves the ticket idle for the next round.
+                                let chain = e.into_chain();
                                 assert_eq!(chain.num_layers(), templates[shape].num_layers());
                                 shed += 1;
                             }
@@ -314,7 +313,6 @@ fn pipelined_producers_share_tickets_across_shapes() {
         max_delay: Duration::from_micros(400),
         queue_cap: 16,
         max_lanes: 3,
-        workspaces_per_lane: 0,
         shed: ShedPolicy::disabled(),
         ..ServeConfig::default()
     });
